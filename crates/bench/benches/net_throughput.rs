@@ -6,7 +6,8 @@
 //! * **sustained ingest** — gateway threads (1, 4 and 8 connections,
 //!   one zone shard each) stream beacon batches with per-batch acks;
 //!   recorded as end-to-end events/s including framing, decode,
-//!   connection-level coalescing, shard routing, and the zone drives.
+//!   validation, zone routing and staging, smoothing, and the zone
+//!   drives.
 //! * **query RTT** — p50/p99/p999 of a synchronous `QUERY`→`LOCATION`
 //!   round trip on an idle stream (`TCP_NODELAY` on both ends), gated
 //!   by `scripts/check.sh` against the recorded

@@ -1,39 +1,27 @@
-//! Serving latency under beacon-burst load, and the overload-accuracy win
-//! of coalescing back-pressure over naive oldest-drop.
+//! Serving latency under beacon-burst load.
 //!
 //! Drives a captured paper-testbed trace through the
 //! [`vire_sim::IngestServer`] at three offered rates (1 k, 10 k and
 //! 100 k events/s against a 10 Hz snapshot cadence) and records the
 //! p50/p99/p999 latency of:
 //!
-//! * **per-snapshot** — `accept` + `drive`: ring publication (with
-//!   growth/coalescing), smoothing, calibration patching, localization,
+//! * **per-snapshot** — `accept` + `drive`: per-reading smoothing,
+//!   calibration patching, localization,
 //! * **per-query** — [`vire_sim::IngestServer::query`] between drives,
 //!   which must stay O(1) and oblivious to the offered rate.
 //!
-//! A second workload pits the two back-pressure policies against each
-//! other on an overloaded tag-major burst schedule: `coalesce_vs_drop`
-//! (gated ≥ 1.0 by `scripts/check.sh`) is the mean localization error of
-//! the `DropOldest` arm over the `Coalesce` arm. Coalescing keeps every
-//! tag's newest reading; dropping loses whole tags per burst, so the
-//! ratio measures accuracy bought purely by loss *policy* at equal
-//! memory.
-//!
 //! In bench mode (`cargo bench -p vire-bench --bench service_latency`)
 //! writes `target/service_latency.json` for `scripts/collect_bench.sh`;
-//! `scripts/check.sh` additionally fails if `p999_per_query_us` exceeds
-//! the recorded `p999_per_query_us_bound`.
+//! `scripts/check.sh` fails if `p999_per_query_us` exceeds the recorded
+//! `p999_per_query_us_bound`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
-use vire_core::{
-    BeaconEvent, IngestConfig, InterpolationKernel, LocationQuery, QueryResponse, ServiceConfig,
-    TagKey, Vire, VireConfig,
-};
+use vire_core::{BeaconEvent, InterpolationKernel, LocationQuery, TagKey, Vire, VireConfig};
 use vire_geom::Point2;
-use vire_sim::{IngestServer, ServeConfig, SmoothingKind, Testbed, TestbedConfig, Trace};
+use vire_sim::{IngestServer, ServeConfig, Testbed, TestbedConfig, Trace};
 
 /// Tracking-tag truth positions (non-boundary spots of the paper room).
 const SPOTS: [(f64, f64); 5] = [(0.8, 0.7), (1.3, 1.9), (2.1, 1.1), (1.7, 2.4), (2.3, 2.2)];
@@ -86,9 +74,6 @@ struct RateSummary {
     p999_per_query_us: f64,
     query_samples: usize,
     delivered: u64,
-    coalesced: u64,
-    lagged: u64,
-    grown: u64,
 }
 
 /// Replays the capture's readings as a steady offered load of
@@ -134,11 +119,9 @@ fn run_rate(trace: &Trace, events_per_sec: usize, snapshots: usize) -> RateSumma
 
     let stats = server.ingest_stats();
     assert_eq!(
-        stats.accepted,
-        stats.delivered + stats.lagged + stats.coalesced_in_ring,
-        "ingest accounting must balance at {events_per_sec} ev/s"
+        stats.accepted, stats.delivered,
+        "every reading must be smoothed at {events_per_sec} ev/s"
     );
-    assert_eq!(server.internal_lag(), 0);
 
     snapshot_us.sort_by(f64::total_cmp);
     query_us.sort_by(f64::total_cmp);
@@ -154,75 +137,7 @@ fn run_rate(trace: &Trace, events_per_sec: usize, snapshots: usize) -> RateSumma
         p999_per_query_us: percentile(&query_us, 99.9),
         query_samples: query_us.len(),
         delivered: stats.delivered,
-        coalesced: stats.coalesced_in_ring + stats.coalesced_in_batch,
-        lagged: stats.lagged,
-        grown: server.grown(),
     }
-}
-
-/// Mean localization error of one back-pressure arm over an overloaded
-/// tag-major burst schedule (chunks far larger than the ring ceiling,
-/// readings sorted tag-first so oldest-drop starves whole tags). A tag
-/// the service cannot answer scores as a blind guess at the room center —
-/// the estimate a consumer would fall back to.
-fn overload_error(trace: &Trace, coalesce: bool) -> f64 {
-    let mut server = IngestServer::from_trace(
-        trace,
-        vire(),
-        ServeConfig {
-            ingest: IngestConfig {
-                initial_capacity: 16,
-                max_capacity: 128,
-                coalesce,
-            },
-            service: ServiceConfig::default(),
-            // Raw smoothing: the policy comparison measures loss, not
-            // filter warm-up.
-            smoothing: SmoothingKind::Raw,
-        },
-    )
-    .expect("capture infers its deployment");
-
-    let first_tracking = trace.reference_tags.len() as u32;
-    let truths: Vec<(TagKey, Point2)> = SPOTS
-        .iter()
-        .enumerate()
-        .map(|(k, &(x, y))| (TagKey::new(first_tracking + k as u32, 0), Point2::new(x, y)))
-        .collect();
-    let center = {
-        let readers = trace.reader_positions();
-        let n = readers.len() as f64;
-        Point2::new(
-            readers.iter().map(|p| p.x).sum::<f64>() / n,
-            readers.iter().map(|p| p.y).sum::<f64>() / n,
-        )
-    };
-
-    let mut total = 0.0;
-    let mut samples = 0usize;
-    for chunk in trace.readings.chunks(440) {
-        let mut burst = chunk.to_vec();
-        burst.sort_by_key(|r| r.tag); // stable: time order kept per tag
-        let now = chunk.last().unwrap().time;
-        server.accept(burst.iter().map(|r| BeaconEvent {
-            time: r.time,
-            tag: TagKey::new(r.tag, r.generation),
-            reader: r.reader,
-            rssi: r.rssi,
-        }));
-        server.drive();
-        for &(tag, truth) in &truths {
-            let estimate = match server.query(LocationQuery { tag, at: now }) {
-                QueryResponse::Fresh { position, .. } | QueryResponse::Stale { position, .. } => {
-                    position
-                }
-                QueryResponse::Unknown => center,
-            };
-            total += estimate.distance(truth);
-            samples += 1;
-        }
-    }
-    total / samples as f64
 }
 
 fn bench_service_latency(c: &mut Criterion) {
@@ -242,14 +157,10 @@ struct Summary {
     rates: Vec<RateSummary>,
     p999_per_query_us: f64,
     p999_per_query_us_bound: f64,
-    coalesce_vs_drop: f64,
-    err_coalesce_m: f64,
-    err_drop_m: f64,
     wall_seconds: f64,
 }
 
-/// Runs the full latency sweep and the policy comparison once, then
-/// emits the JSON summary. Only runs under `cargo bench` (`--bench`
+/// Runs the full latency sweep once, then emits the JSON summary. Only runs under `cargo bench` (`--bench`
 /// flag), mirroring the other bench summaries.
 fn emit_json_summary(_c: &mut Criterion) {
     if !std::env::args().any(|a| a == "--bench") {
@@ -274,10 +185,6 @@ fn emit_json_summary(_c: &mut Criterion) {
         .map(|r| r.p999_per_query_us)
         .fold(0.0f64, f64::max);
 
-    let err_coalesce_m = overload_error(&trace, true);
-    let err_drop_m = overload_error(&trace, false);
-    let coalesce_vs_drop = err_drop_m / err_coalesce_m;
-
     let summary = Summary {
         group: "service_latency".into(),
         fixture: format!(
@@ -290,9 +197,6 @@ fn emit_json_summary(_c: &mut Criterion) {
         rates,
         p999_per_query_us,
         p999_per_query_us_bound: P999_PER_QUERY_US_BOUND,
-        coalesce_vs_drop,
-        err_coalesce_m,
-        err_drop_m,
         wall_seconds: start.elapsed().as_secs_f64(),
     };
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
@@ -304,21 +208,16 @@ fn emit_json_summary(_c: &mut Criterion) {
     for r in &summary.rates {
         println!(
             "  {:>6} ev/s: snapshot p50 {:.0} µs / p99 {:.0} µs / p999 {:.0} µs, \
-             query p50 {:.2} µs / p999 {:.2} µs, coalesced {}, lagged {}",
+             query p50 {:.2} µs / p999 {:.2} µs, {} readings smoothed",
             r.events_per_sec,
             r.p50_per_snapshot_us,
             r.p99_per_snapshot_us,
             r.p999_per_snapshot_us,
             r.p50_per_query_us,
             r.p999_per_query_us,
-            r.coalesced,
-            r.lagged
+            r.delivered
         );
     }
-    println!(
-        "  coalesce_vs_drop {:.2}x (err {:.3} m vs {:.3} m)",
-        summary.coalesce_vs_drop, summary.err_coalesce_m, summary.err_drop_m
-    );
 }
 
 criterion_group!(benches, bench_service_latency, emit_json_summary);

@@ -1,31 +1,22 @@
 //! # vire-bus
 //!
-//! A resizable, single-writer / multi-reader ring-buffer event channel —
-//! the transport of the streaming localization pipeline.
+//! A fixed-capacity, single-writer / multi-reader ring-buffer event
+//! channel — the transport of the simulated testbed's reading stream.
 //!
 //! The paper's testbed is inherently streaming: tags beacon every ~2 s and
 //! the middleware and location server consume an unsynchronized event
 //! stream (§4.1). [`EventBus`] models that stream in memory:
 //!
-//! * **Single writer** — the simulation engine (or a real reader gateway)
-//!   publishes events with [`EventBus::publish`]; exclusive access is
-//!   enforced by `&mut`.
+//! * **Single writer** — the simulation engine publishes events with
+//!   [`EventBus::publish`]; exclusive access is enforced by `&mut`.
 //! * **Multiple independent readers** — each consumer registers a
 //!   [`ReaderToken`] cursor with [`EventBus::reader`] and drains newly
 //!   published events with [`EventBus::read`]. Readers never block the
 //!   writer or each other.
-//! * **Amortized growth** — a bus built with [`EventBus::resizable`]
-//!   doubles its capacity (one `rotate_left` copy per doubling, so O(1)
-//!   amortized per publish) whenever the slowest *live* reader would
-//!   otherwise lose an event, up to `max_capacity`.
-//! * **Explicit loss, never silent** — past `max_capacity` an explicit
-//!   [`BackPressure`] policy kicks in: [`BackPressure::Coalesce`] merges
-//!   same-key runs down to the newest event (counted per reader via
-//!   [`BusRead::coalesced`]), [`BackPressure::DropOldest`] keeps the
-//!   legacy hard-drop path whose losses are reported exactly by
-//!   [`BusRead::lagged`], in the style of `shrev`'s ring-buffer
-//!   `EventChannel`. Every event a reader does not receive is accounted
-//!   in one of those two counters.
+//! * **Explicit loss, never silent** — once the ring is full each publish
+//!   overwrites the oldest event; a reader that fell behind learns exactly
+//!   how many events it lost from [`BusRead::lagged`], in the style of
+//!   `shrev`'s ring-buffer `EventChannel`.
 //!
 //! Sequence numbers are monotonically increasing `u64`s, so the channel
 //! never ambiguates wraparound (at one event per nanosecond a `u64` lasts
@@ -48,116 +39,37 @@
 //! assert_eq!(read.lagged(), 4, "events 0–3 were overwritten");
 //! assert_eq!(read.copied().collect::<Vec<i32>>(), [4, 5, 6, 7]);
 //! ```
-//!
-//! A resizable bus under the same pressure loses nothing:
-//!
-//! ```
-//! use vire_bus::{BackPressure, EventBus};
-//!
-//! let mut bus = EventBus::resizable(2, 16, BackPressure::DropOldest);
-//! let mut slow = bus.reader();
-//! bus.publish_all(0..10); // capacity doubles 2 → 4 → 8 → 16
-//! let read = bus.read(&mut slow);
-//! assert_eq!(read.lagged(), 0);
-//! assert_eq!(read.len(), 10);
-//! assert!(bus.grown() >= 3);
-//! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
 
 /// Source of unique bus identities; catches tokens used on the wrong bus.
 static NEXT_BUS_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Constructor failure for [`EventBus`] / [`ShardedBus`].
+/// Constructor failure for [`EventBus`].
 ///
-/// The panicking constructors ([`EventBus::with_capacity`],
-/// [`EventBus::resizable`], [`ShardedBus::new`]) are thin wrappers that
-/// panic with this error's [`Display`](fmt::Display) message; callers that
-/// build buses from untrusted configuration use the `try_` variants.
+/// The panicking constructor [`EventBus::with_capacity`] is a thin wrapper
+/// that panics with this error's [`Display`](fmt::Display) message;
+/// callers that build buses from untrusted configuration use
+/// [`EventBus::try_with_capacity`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusError {
     /// The requested ring capacity was zero.
     ZeroCapacity,
-    /// A sharded bus was requested with zero shards.
-    ZeroShards,
-    /// A resizable bus was requested with `max_capacity` below its
-    /// initial capacity.
-    MaxBelowInitial {
-        /// Requested initial capacity.
-        initial: usize,
-        /// Requested maximum capacity (smaller than `initial`).
-        max: usize,
-    },
 }
 
 impl fmt::Display for BusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BusError::ZeroCapacity => write!(f, "bus capacity must be positive"),
-            BusError::ZeroShards => write!(f, "need at least one shard"),
-            BusError::MaxBelowInitial { initial, max } => write!(
-                f,
-                "bus max_capacity ({max}) must be at least the initial capacity ({initial})"
-            ),
         }
     }
 }
 
 impl std::error::Error for BusError {}
-
-/// What a resizable bus does with the oldest unread event once the ring
-/// is full *and* already at `max_capacity`.
-///
-/// Neither policy is silent: hard drops surface as [`BusRead::lagged`],
-/// merges surface as [`BusRead::coalesced`].
-pub enum BackPressure<T> {
-    /// Overwrite the oldest retained event; the slowest reader's next
-    /// [`EventBus::read`] reports it via [`BusRead::lagged`].
-    DropOldest,
-    /// Merge retained events sharing a key down to the newest one (a
-    /// per-(tag, reader) beacon run collapses to its latest reading).
-    /// Events merged away ahead of a reader's cursor are reported via
-    /// [`BusRead::coalesced`]. Falls back to [`BackPressure::DropOldest`]
-    /// when every retained event has a distinct key.
-    Coalesce(fn(&T) -> u128),
-}
-
-impl<T> Clone for BackPressure<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for BackPressure<T> {}
-
-impl<T> fmt::Debug for BackPressure<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackPressure::DropOldest => write!(f, "DropOldest"),
-            BackPressure::Coalesce(_) => write!(f, "Coalesce(<key fn>)"),
-        }
-    }
-}
-
-/// One reader's cursor state, shared between its [`ReaderToken`] and the
-/// bus's registry (the bus holds a [`Weak`], so dropping the token
-/// deregisters the reader and stops it from pinning growth).
-#[derive(Debug)]
-struct CursorSlot {
-    /// Sequence number of the next event this reader will receive.
-    next: AtomicU64,
-    /// Events merged away ahead of this cursor, not yet reported.
-    coalesced: AtomicU64,
-    /// Hard-dropped events owed to `lagged`, accumulated when a coalesce
-    /// renumbering had to move an already-lagging cursor forward.
-    lag_debt: AtomicU64,
-}
 
 /// A single-writer / multi-reader event channel over a ring buffer.
 ///
@@ -165,66 +77,42 @@ struct CursorSlot {
 /// required: readers borrow events in place.
 #[derive(Debug)]
 pub struct EventBus<T> {
-    /// Ring storage; holds the `len` retained events.
+    /// Ring storage; grows to `cap` entries, then is overwritten in place.
     buf: Vec<T>,
-    /// Current ring capacity (`initial ≤ cap ≤ max_cap`).
+    /// Ring capacity.
     cap: usize,
-    /// Hard ceiling for `cap`; growth past it defers to `policy`.
-    max_cap: usize,
-    /// Physical index of the oldest retained event.
-    first: usize,
-    /// Number of retained events (≤ `cap`). The event with sequence
-    /// number `s` lives at `buf[(first + (s - (head - len))) % cap]`.
-    len: usize,
     /// Sequence number of the *next* event to be published (== total
-    /// events ever published; renumbering after a coalesce preserves it).
+    /// events ever published). The event with sequence number `s` lives
+    /// at `buf[s % cap]` while retained.
     head: u64,
-    /// Full-ring policy once `cap == max_cap`.
-    policy: BackPressure<T>,
-    /// Live reader cursors. Locked only by `reader(&self)`; the publish
-    /// side holds `&mut self` and uses lock-free `get_mut`.
-    readers: Mutex<Vec<Weak<CursorSlot>>>,
-    /// Number of capacity doublings performed.
-    grown: u64,
-    /// Total events merged away by the coalesce policy.
-    coalesced: u64,
     id: u64,
 }
 
 /// An independent read cursor into one [`EventBus`].
 ///
 /// Each consumer owns one; a token only observes events published *after*
-/// it was created. Dropping the token deregisters the reader, so an
-/// abandoned cursor never pins the bus's growth or retention.
-#[derive(Debug)]
+/// it was created.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReaderToken {
-    slot: Arc<CursorSlot>,
+    /// Sequence number of the next event this reader will receive.
+    next: u64,
     bus_id: u64,
 }
 
-impl PartialEq for ReaderToken {
-    fn eq(&self, other: &Self) -> bool {
-        self.bus_id == other.bus_id && Arc::ptr_eq(&self.slot, &other.slot)
-    }
-}
-
-impl Eq for ReaderToken {}
-
-/// The result of one [`EventBus::read`]: loss counters plus an iterator
-/// over the surviving unread events, oldest first.
+/// The result of one [`EventBus::read`]: the loss counter plus an
+/// iterator over the surviving unread events, oldest first.
 #[derive(Debug)]
 pub struct BusRead<'a, T> {
     bus: &'a EventBus<T>,
     next: u64,
     end: u64,
     lagged: u64,
-    coalesced: u64,
 }
 
 impl<T> EventBus<T> {
-    /// Creates a fixed-capacity bus retaining at most `capacity` events
-    /// (legacy semantics: the oldest event is overwritten once full, and
-    /// the loss surfaces as [`BusRead::lagged`]).
+    /// Creates a bus retaining at most `capacity` events: once full, the
+    /// oldest event is overwritten and the loss surfaces as
+    /// [`BusRead::lagged`].
     ///
     /// # Panics
     /// Panics when `capacity` is zero.
@@ -234,63 +122,25 @@ impl<T> EventBus<T> {
 
     /// Fallible [`EventBus::with_capacity`].
     pub fn try_with_capacity(capacity: usize) -> Result<Self, BusError> {
-        Self::try_resizable(capacity, capacity, BackPressure::DropOldest)
-    }
-
-    /// Creates a resizable bus: starts at `initial` capacity, doubles (up
-    /// to `max_capacity`) whenever the slowest live reader would otherwise
-    /// lose an event, then applies `policy` once at the ceiling.
-    ///
-    /// # Panics
-    /// Panics when `initial` is zero or `max_capacity < initial`.
-    pub fn resizable(initial: usize, max_capacity: usize, policy: BackPressure<T>) -> Self {
-        Self::try_resizable(initial, max_capacity, policy).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`EventBus::resizable`].
-    pub fn try_resizable(
-        initial: usize,
-        max_capacity: usize,
-        policy: BackPressure<T>,
-    ) -> Result<Self, BusError> {
-        if initial == 0 {
+        if capacity == 0 {
             return Err(BusError::ZeroCapacity);
         }
-        if max_capacity < initial {
-            return Err(BusError::MaxBelowInitial {
-                initial,
-                max: max_capacity,
-            });
-        }
         Ok(EventBus {
-            buf: Vec::with_capacity(initial),
-            cap: initial,
-            max_cap: max_capacity,
-            first: 0,
-            len: 0,
+            buf: Vec::with_capacity(capacity),
+            cap: capacity,
             head: 0,
-            policy,
-            readers: Mutex::new(Vec::new()),
-            grown: 0,
-            coalesced: 0,
             id: NEXT_BUS_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 
-    /// Current ring capacity (grows up to [`EventBus::max_capacity`]).
+    /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.cap
     }
 
-    /// Hard capacity ceiling; equal to [`EventBus::capacity`] for a
-    /// fixed-capacity bus.
-    pub fn max_capacity(&self) -> usize {
-        self.max_cap
-    }
-
     /// Number of events currently retained (≤ capacity).
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     /// Whether no event was ever published.
@@ -303,52 +153,18 @@ impl<T> EventBus<T> {
         self.head
     }
 
-    /// Number of capacity doublings performed so far.
-    pub fn grown(&self) -> u64 {
-        self.grown
-    }
-
-    /// Total events merged away by the coalesce policy (bus-wide; the
-    /// per-reader share surfaces via [`BusRead::coalesced`]).
-    pub fn coalesced_total(&self) -> u64 {
-        self.coalesced
-    }
-
     /// Sequence number of the oldest event still retained.
     fn oldest(&self) -> u64 {
-        self.head - self.len as u64
+        self.head - self.buf.len() as u64
     }
 
-    /// Physical slot of the event with sequence number `seq` (which must
-    /// be retained).
-    fn slot_of(&self, seq: u64) -> usize {
-        (self.first + (seq - self.oldest()) as usize) % self.cap
-    }
-
-    /// Live reader cursors, pruning dead registrations in passing.
-    /// Publish-side only (`&mut self` makes the lock uncontended).
-    fn live_cursors(&mut self) -> Vec<Arc<CursorSlot>> {
-        let reg = match self.readers.get_mut() {
-            Ok(reg) => reg,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.retain(|w| w.strong_count() > 0);
-        reg.iter().filter_map(Weak::upgrade).collect()
-    }
-
-    /// Publishes one event. When the ring is full it grows (resizable bus
-    /// with a live reader at risk) or applies the back-pressure policy.
+    /// Publishes one event, overwriting the oldest once the ring is full.
     pub fn publish(&mut self, event: T) {
-        if self.len == self.cap {
-            self.make_room();
-        }
-        let idx = (self.first + self.len) % self.cap;
-        if idx == self.buf.len() {
+        if self.buf.len() < self.cap {
             self.buf.push(event);
         } else {
-            self.buf[idx] = event;
+            self.buf[(self.head % self.cap as u64) as usize] = event;
         }
-        self.len += 1;
         self.head += 1;
     }
 
@@ -359,136 +175,11 @@ impl<T> EventBus<T> {
         }
     }
 
-    /// Frees at least one slot in a full ring.
-    fn make_room(&mut self) {
-        let oldest = self.oldest();
-        let slowest = self
-            .live_cursors()
-            .iter()
-            .map(|s| s.next.load(Ordering::Relaxed))
-            .min();
-        match slowest {
-            // No live reader still needs the oldest event: recycle it.
-            None => self.drop_oldest(),
-            Some(c) if c > oldest => self.drop_oldest(),
-            // The slowest live reader would lose an event.
-            Some(_) => {
-                if self.cap < self.max_cap {
-                    self.grow();
-                } else {
-                    match self.policy {
-                        BackPressure::DropOldest => self.drop_oldest(),
-                        BackPressure::Coalesce(key) => {
-                            if !self.coalesce(key) {
-                                self.drop_oldest();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Discards the oldest retained event (loss accounting happens lazily
-    /// at [`EventBus::read`] via `oldest - cursor`).
-    fn drop_oldest(&mut self) {
-        debug_assert!(self.len > 0);
-        self.first = (self.first + 1) % self.cap;
-        self.len -= 1;
-    }
-
-    /// Doubles the ring capacity (clamped to `max_cap`), straightening the
-    /// ring with one `rotate_left`. Each doubling copies O(cap) events and
-    /// buys cap more publishes, so the cost is O(1) amortized.
-    fn grow(&mut self) {
-        debug_assert_eq!(self.len, self.cap);
-        debug_assert_eq!(self.buf.len(), self.cap);
-        self.buf.rotate_left(self.first);
-        self.first = 0;
-        self.cap = (self.cap * 2).min(self.max_cap);
-        self.buf.reserve_exact(self.cap - self.len);
-        self.grown += 1;
-    }
-
-    /// Merges retained events sharing a coalesce key down to the newest
-    /// one, preserving the relative order of survivors and renumbering
-    /// them to `[head - survivors, head)`. Every live cursor is remapped
-    /// so it re-reads exactly the survivors it had not yet received;
-    /// events merged away ahead of a cursor are charged to its
-    /// [`BusRead::coalesced`] counter. Returns `false` (ring unchanged)
-    /// when every retained event has a distinct key.
-    fn coalesce(&mut self, key: fn(&T) -> u128) -> bool {
-        let len = self.len;
-        let base = self.oldest();
-        // Walk newest → oldest: the last event of each key survives.
-        let mut survive = vec![false; len];
-        let mut seen: HashSet<u128> = HashSet::with_capacity(len);
-        for i in (0..len).rev() {
-            let phys = (self.first + i) % self.cap;
-            survive[i] = seen.insert(key(&self.buf[phys]));
-        }
-        // suffix_dropped[i] = merged-away events at logical index ≥ i.
-        let mut suffix_dropped = vec![0u64; len + 1];
-        for i in (0..len).rev() {
-            suffix_dropped[i] = suffix_dropped[i + 1] + u64::from(!survive[i]);
-        }
-        let dropped = suffix_dropped[0];
-        if dropped == 0 {
-            return false;
-        }
-
-        // Remap every live cursor before renumbering: a cursor that had
-        // `k` survivors ahead of it ends up `k` behind the new head.
-        let head = self.head;
-        for slot in self.live_cursors() {
-            let c = slot.next.load(Ordering::Relaxed);
-            let start = if c < base {
-                // Events in [c, base) were hard-dropped earlier; bank the
-                // lag now, because the renumbering erases the gap.
-                slot.lag_debt.fetch_add(base - c, Ordering::Relaxed);
-                0
-            } else {
-                ((c - base) as usize).min(len)
-            };
-            let dropped_ahead = suffix_dropped[start];
-            slot.coalesced.fetch_add(dropped_ahead, Ordering::Relaxed);
-            let survivors_ahead = (len - start) as u64 - dropped_ahead;
-            slot.next.store(head - survivors_ahead, Ordering::Relaxed);
-        }
-
-        // Compact survivors toward `first`, preserving order.
-        let mut kept = 0;
-        for (i, &keep) in survive.iter().enumerate() {
-            if keep {
-                if i != kept {
-                    let a = (self.first + kept) % self.cap;
-                    let b = (self.first + i) % self.cap;
-                    self.buf.swap(a, b);
-                }
-                kept += 1;
-            }
-        }
-        self.len = kept;
-        self.coalesced += dropped;
-        true
-    }
-
     /// Registers a new reader cursor positioned at the current head: it
     /// will observe only events published after this call.
     pub fn reader(&self) -> ReaderToken {
-        let slot = Arc::new(CursorSlot {
-            next: AtomicU64::new(self.head),
-            coalesced: AtomicU64::new(0),
-            lag_debt: AtomicU64::new(0),
-        });
-        let mut reg = match self.readers.lock() {
-            Ok(reg) => reg,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.push(Arc::downgrade(&slot));
-        drop(reg);
         ReaderToken {
-            slot,
+            next: self.head,
             bus_id: self.id,
         }
     }
@@ -496,44 +187,37 @@ impl<T> EventBus<T> {
     /// Drains every event published since `token` last read, advancing the
     /// token to the head.
     ///
-    /// When the reader fell behind a hard drop, the overwritten events are
+    /// When the reader fell behind the ring, the overwritten events are
     /// unrecoverable; [`BusRead::lagged`] reports exactly how many were
-    /// lost and iteration yields the survivors. Events merged away ahead
-    /// of the cursor by the coalesce policy are reported separately via
-    /// [`BusRead::coalesced`] (their newest-per-key representatives are
-    /// still delivered).
+    /// lost and iteration yields the survivors.
     ///
     /// # Panics
     /// Panics when `token` belongs to a different bus.
     pub fn read(&self, token: &mut ReaderToken) -> BusRead<'_, T> {
-        assert_eq!(
-            token.bus_id, self.id,
-            "reader token belongs to a different bus"
-        );
+        self.check(token);
         let oldest = self.oldest();
-        let pos = token.slot.next.load(Ordering::Relaxed);
-        let lagged = oldest.saturating_sub(pos) + token.slot.lag_debt.swap(0, Ordering::Relaxed);
-        let coalesced = token.slot.coalesced.swap(0, Ordering::Relaxed);
-        let next = pos.max(oldest);
-        token.slot.next.store(self.head, Ordering::Relaxed);
+        let pos = token.next;
+        token.next = self.head;
         BusRead {
             bus: self,
-            next,
+            next: pos.max(oldest),
             end: self.head,
-            lagged,
-            coalesced,
+            lagged: oldest.saturating_sub(pos),
         }
     }
 
     /// Number of events `token` would receive from [`EventBus::read`]
     /// (survivors only), without consuming them.
     pub fn pending(&self, token: &ReaderToken) -> usize {
+        self.check(token);
+        (self.head - token.next.max(self.oldest())) as usize
+    }
+
+    fn check(&self, token: &ReaderToken) {
         assert_eq!(
             token.bus_id, self.id,
             "reader token belongs to a different bus"
         );
-        let pos = token.slot.next.load(Ordering::Relaxed);
-        (self.head - pos.max(self.oldest())) as usize
     }
 }
 
@@ -542,115 +226,6 @@ impl<T> BusRead<'_, T> {
     /// permanently lost to this reader (0 when the reader kept up).
     pub fn lagged(&self) -> u64 {
         self.lagged
-    }
-
-    /// Number of events merged away ahead of this reader's cursor by the
-    /// coalesce policy since its last read. Unlike lagged events these are
-    /// represented: the newest event of each merged run is delivered.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-}
-
-/// A bus split into independent per-shard segments — the transport of the
-/// zone-sharded location fabric.
-///
-/// Each zone (shard) of a multi-zone deployment has its own event stream:
-/// readings from zone `k`'s readers never interleave with another zone's,
-/// so giving every shard its own [`EventBus`] segment keeps the
-/// single-writer discipline *per zone* while different zones' publishers
-/// and consumers proceed without touching shared state. A
-/// [`ShardReaderToken`] pins both the shard and the cursor, so cross-shard
-/// token misuse is caught exactly like cross-bus misuse on a flat bus.
-#[derive(Debug)]
-pub struct ShardedBus<T> {
-    segments: Vec<EventBus<T>>,
-}
-
-/// An independent read cursor into one shard of a [`ShardedBus`].
-#[derive(Debug, PartialEq, Eq)]
-pub struct ShardReaderToken {
-    shard: usize,
-    token: ReaderToken,
-}
-
-impl ShardReaderToken {
-    /// The shard this cursor reads.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-impl<T> ShardedBus<T> {
-    /// Creates `shards` independent segments, each retaining at most
-    /// `capacity` events.
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero or `capacity` is zero.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        Self::try_new(shards, capacity).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ShardedBus::new`].
-    pub fn try_new(shards: usize, capacity: usize) -> Result<Self, BusError> {
-        if shards == 0 {
-            return Err(BusError::ZeroShards);
-        }
-        let segments = (0..shards)
-            .map(|_| EventBus::try_with_capacity(capacity))
-            .collect::<Result<_, _>>()?;
-        Ok(ShardedBus { segments })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Shard `k`'s segment, shared (for reads and diagnostics).
-    pub fn shard(&self, k: usize) -> &EventBus<T> {
-        &self.segments[k]
-    }
-
-    /// Shard `k`'s segment, exclusive (for publishing). Distinct shards'
-    /// segments are disjoint borrows via [`ShardedBus::shards_mut`].
-    pub fn shard_mut(&mut self, k: usize) -> &mut EventBus<T> {
-        &mut self.segments[k]
-    }
-
-    /// All segments, exclusively — the fan-out shape: hand each worker
-    /// lane its own `&mut EventBus` so per-shard publishers overlap.
-    pub fn shards_mut(&mut self) -> &mut [EventBus<T>] {
-        &mut self.segments
-    }
-
-    /// Publishes one event onto shard `k`.
-    pub fn publish(&mut self, k: usize, event: T) {
-        self.segments[k].publish(event);
-    }
-
-    /// Registers a reader cursor on shard `k`, positioned at its head.
-    pub fn reader(&self, k: usize) -> ShardReaderToken {
-        ShardReaderToken {
-            shard: k,
-            token: self.segments[k].reader(),
-        }
-    }
-
-    /// Drains shard-local events since `token` last read — semantics of
-    /// [`EventBus::read`] on the token's shard.
-    pub fn read(&self, token: &mut ShardReaderToken) -> BusRead<'_, T> {
-        self.segments[token.shard].read(&mut token.token)
-    }
-
-    /// Survivor count awaiting `token`, without consuming.
-    pub fn pending(&self, token: &ShardReaderToken) -> usize {
-        self.segments[token.shard].pending(&token.token)
-    }
-
-    /// Total events ever published across all shards.
-    pub fn total_published(&self) -> u64 {
-        self.segments.iter().map(EventBus::total_published).sum()
     }
 }
 
@@ -661,7 +236,7 @@ impl<'a, T> Iterator for BusRead<'a, T> {
         if self.next == self.end {
             return None;
         }
-        let item = &self.bus.buf[self.bus.slot_of(self.next)];
+        let item = &self.bus.buf[(self.next % self.bus.cap as u64) as usize];
         self.next += 1;
         Some(item)
     }
@@ -779,222 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn try_constructors_report_bad_shapes() {
+    fn try_constructor_reports_bad_shapes() {
         assert_eq!(
             EventBus::<i32>::try_with_capacity(0).unwrap_err(),
             BusError::ZeroCapacity
         );
-        assert_eq!(
-            EventBus::<i32>::try_resizable(8, 4, BackPressure::DropOldest).unwrap_err(),
-            BusError::MaxBelowInitial { initial: 8, max: 4 }
-        );
-        assert_eq!(
-            ShardedBus::<i32>::try_new(0, 4).unwrap_err(),
-            BusError::ZeroShards
-        );
-        assert_eq!(
-            ShardedBus::<i32>::try_new(2, 0).unwrap_err(),
-            BusError::ZeroCapacity
-        );
         assert!(EventBus::<i32>::try_with_capacity(4).is_ok());
-        assert!(ShardedBus::<i32>::try_new(2, 4).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "max_capacity")]
-    fn resizable_max_below_initial_panics() {
-        let _: EventBus<i32> = EventBus::resizable(8, 4, BackPressure::DropOldest);
-    }
-
-    #[test]
-    fn resizable_grows_instead_of_dropping() {
-        let mut bus = EventBus::resizable(2, 16, BackPressure::DropOldest);
-        let mut slow = bus.reader();
-        bus.publish_all(0..12);
-        assert!(bus.capacity() >= 12 && bus.capacity() <= 16);
-        assert_eq!(bus.grown(), 3, "2 → 4 → 8 → 16");
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 0, "growth must prevent loss");
-        assert_eq!(
-            read.copied().collect::<Vec<i32>>(),
-            (0..12).collect::<Vec<i32>>()
-        );
-    }
-
-    #[test]
-    fn growth_stops_at_max_then_drops() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::DropOldest);
-        let mut slow = bus.reader();
-        bus.publish_all(0..7);
-        assert_eq!(bus.capacity(), 4);
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 3);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn dead_reader_does_not_pin_growth() {
-        let mut bus = EventBus::resizable(2, 64, BackPressure::DropOldest);
-        drop(bus.reader());
-        bus.publish_all(0..100);
-        assert_eq!(bus.capacity(), 2, "no live reader: recycle, don't grow");
-        assert_eq!(bus.grown(), 0);
-    }
-
-    #[test]
-    fn reader_ahead_of_oldest_does_not_force_growth() {
-        let mut bus = EventBus::resizable(4, 64, BackPressure::DropOldest);
-        let mut r = bus.reader();
-        for n in 0..32 {
-            bus.publish(n);
-            // The reader keeps up, so the full ring recycles in place.
-            assert_eq!(bus.read(&mut r).copied().collect::<Vec<i32>>(), [n]);
-        }
-        assert_eq!(bus.capacity(), 4);
-        assert_eq!(bus.grown(), 0);
-    }
-
-    /// Key = the even/odd class of the event, so runs collapse per class.
-    fn parity_key(e: &i32) -> u128 {
-        (*e % 2) as u128
-    }
-
-    #[test]
-    fn coalesce_keeps_newest_per_key() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(parity_key));
-        let mut slow = bus.reader();
-        bus.publish_all([0, 2, 4, 1, 3, 6]);
-        // Ring held [0,2,4,1] at capacity; publishing 3 coalesced evens
-        // down to 4 → [0? no: newest-per-parity of [0,2,4,1] = [4,1]].
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 0, "coalescing must not hard-drop");
-        let survivors: Vec<i32> = read.copied().collect();
-        // The newest event of each parity class is delivered, in order.
-        assert_eq!(*survivors.last().unwrap(), 6);
-        assert!(survivors.contains(&3));
-        assert!(bus.coalesced_total() > 0);
-    }
-
-    #[test]
-    fn coalesce_accounting_balances() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(parity_key));
-        let mut slow = bus.reader();
-        let published = 40u64;
-        let mut delivered = 0u64;
-        let mut lagged = 0u64;
-        let mut coalesced = 0u64;
-        for n in 0..published as i32 {
-            bus.publish(n);
-        }
-        let read = bus.read(&mut slow);
-        lagged += read.lagged();
-        coalesced += read.coalesced();
-        delivered += read.count() as u64;
-        assert_eq!(
-            lagged + delivered + coalesced,
-            published,
-            "every event must be accounted for"
-        );
-        assert_eq!(lagged, 0, "parity coalescing always frees slots");
-        assert_eq!(coalesced, bus.coalesced_total());
-    }
-
-    #[test]
-    fn coalesce_with_distinct_keys_falls_back_to_drop() {
-        fn identity_key(e: &i32) -> u128 {
-            *e as u128
-        }
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(identity_key));
-        let mut slow = bus.reader();
-        bus.publish_all(0..6);
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 2, "all-distinct keys: hard drop, counted");
-        assert_eq!(read.coalesced(), 0);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn coalesce_preserves_position_of_fresh_reader() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(parity_key));
-        let mut slow = bus.reader();
-        bus.publish_all([0, 2, 4, 1]);
-        // A reader registered at the head sees only post-registration
-        // events, even across a coalesce renumbering.
-        let mut fresh = bus.reader();
-        bus.publish_all([6, 8]);
-        let read = bus.read(&mut fresh);
-        assert_eq!(read.lagged(), 0);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [6, 8]);
-        // The slow reader still gets newest-per-key with full accounting.
-        let read = bus.read(&mut slow);
-        let lagged = read.lagged();
-        let coalesced = read.coalesced();
-        let delivered = read.count() as u64;
-        assert_eq!(lagged + coalesced + delivered, 6);
-    }
-
-    #[test]
-    fn sharded_bus_segments_are_independent() {
-        let mut bus: ShardedBus<i32> = ShardedBus::new(3, 4);
-        assert_eq!(bus.shard_count(), 3);
-        let mut r0 = bus.reader(0);
-        let mut r2 = bus.reader(2);
-        bus.publish(0, 10);
-        bus.publish(2, 30);
-        bus.publish(0, 11);
-        assert_eq!(bus.read(&mut r0).copied().collect::<Vec<i32>>(), [10, 11]);
-        assert_eq!(bus.read(&mut r2).copied().collect::<Vec<i32>>(), [30]);
-        // Shard 1 never saw anything.
-        let mut r1 = bus.reader(1);
-        assert_eq!(bus.read(&mut r1).count(), 0);
-        assert_eq!(bus.total_published(), 3);
-    }
-
-    #[test]
-    fn sharded_bus_lag_is_per_shard() {
-        let mut bus: ShardedBus<i32> = ShardedBus::new(2, 2);
-        let mut slow = bus.reader(0);
-        for n in 0..5 {
-            bus.publish(0, n);
-        }
-        bus.publish(1, 99); // other shard's traffic never causes lag here
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 3);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [3, 4]);
-        assert_eq!(slow.shard(), 0);
-    }
-
-    #[test]
-    fn sharded_bus_shards_mut_splits_disjointly() {
-        let mut bus: ShardedBus<i32> = ShardedBus::new(2, 4);
-        let r0 = bus.reader(0);
-        let r1 = bus.reader(1);
-        if let [a, b] = bus.shards_mut() {
-            a.publish(1);
-            b.publish(2);
-        } else {
-            unreachable!("two shards were created");
-        }
-        assert_eq!(bus.pending(&r0), 1);
-        assert_eq!(bus.pending(&r1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bus")]
-    fn sharded_token_on_wrong_shard_panics() {
-        let bus: ShardedBus<i32> = ShardedBus::new(2, 2);
-        let t = bus.reader(0);
-        // Forge a token pointing at shard 1 with shard 0's cursor.
-        let mut wrong = ShardReaderToken {
-            shard: 1,
-            token: t.token,
-        };
-        let _ = bus.read(&mut wrong);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _: ShardedBus<i32> = ShardedBus::new(0, 2);
     }
 }

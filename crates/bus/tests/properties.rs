@@ -1,12 +1,11 @@
 //! Property tests for the ring-buffer event channel: no event is ever
 //! silently dropped — every published event is either delivered or counted
-//! in a reader's lag/coalesce counters — and delivery order is always an
-//! ordered subsequence (a suffix, on the hard-drop path) of publication
-//! order, including across capacity growth.
+//! in the reader's lag counter — and delivery is always an ordered suffix
+//! of what was published since the reader's last read.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use vire_bus::{BackPressure, EventBus};
+use vire_bus::EventBus;
 
 proptest! {
     /// lagged + delivered == published since the reader registered, for
@@ -58,62 +57,34 @@ proptest! {
     }
 }
 
-/// Coalesce keys for the property tests below. `BackPressure::Coalesce`
-/// takes a plain `fn` pointer, so the key space is enumerated here and
-/// selected by index rather than captured in a closure.
-fn key_mod2(e: &u64) -> u128 {
-    (*e % 2) as u128
-}
-fn key_mod3(e: &u64) -> u128 {
-    (*e % 3) as u128
-}
-fn key_mod5(e: &u64) -> u128 {
-    (*e % 5) as u128
-}
-fn key_identity(e: &u64) -> u128 {
-    *e as u128
-}
-
 proptest! {
-    /// A growth-enabled single-reader bus behaves exactly like a
-    /// `VecDeque` oracle that doubles its capacity whenever the reader
-    /// would otherwise lose an event: same capacity trajectory, same
-    /// retained length, same lag, same delivered events — across any
-    /// schedule of publish bursts and reads, including growth mid-burst.
+    /// A single-reader bus behaves exactly like a `VecDeque` oracle that
+    /// evicts its oldest event once full: same retained length, same lag,
+    /// same delivered events — across any schedule of publish bursts and
+    /// reads.
     #[test]
-    fn resizable_ring_matches_vecdeque_oracle(
-        initial in 1usize..8,
-        headroom in 0u32..3,
+    fn ring_matches_vecdeque_oracle(
+        capacity in 1usize..16,
         bursts in prop::collection::vec(0usize..24, 1..16),
         read_after in prop::collection::vec(any::<bool>(), 1..16),
     ) {
-        let max = initial << headroom;
-        let mut bus = EventBus::resizable(initial, max, BackPressure::DropOldest);
+        let mut bus = EventBus::with_capacity(capacity);
         let mut token = bus.reader();
 
         let mut oracle: VecDeque<u64> = VecDeque::new();
-        let mut cap = initial;
         // Sequence number of the next event the reader will receive.
         let mut cursor: u64 = 0;
         let mut published: u64 = 0;
 
         for (burst, read) in bursts.iter().zip(read_after.iter().cycle()) {
             for _ in 0..*burst {
-                if oracle.len() == cap {
-                    let oldest = published - oracle.len() as u64;
-                    if cursor > oldest {
-                        oracle.pop_front(); // reader is past it: recycle
-                    } else if cap < max {
-                        cap = (cap * 2).min(max); // grow instead of losing
-                    } else {
-                        oracle.pop_front(); // at the ceiling: hard drop
-                    }
+                if oracle.len() == capacity {
+                    oracle.pop_front();
                 }
                 oracle.push_back(published);
                 bus.publish(published);
                 published += 1;
             }
-            prop_assert_eq!(bus.capacity(), cap);
             prop_assert_eq!(bus.len(), oracle.len());
             if *read {
                 let r = bus.read(&mut token);
@@ -126,64 +97,5 @@ proptest! {
                 cursor = published;
             }
         }
-    }
-
-    /// Under any back-pressure policy (hard drop, or coalescing with any
-    /// of several key densities) and any publish/read schedule:
-    /// `lagged + delivered + coalesced == published`, and the delivered
-    /// events form an increasing subsequence of the publication order.
-    #[test]
-    fn loss_is_never_silent_under_back_pressure(
-        initial in 1usize..6,
-        headroom in 0u32..3,
-        policy_idx in 0usize..5,
-        bursts in prop::collection::vec(0usize..24, 1..16),
-        read_after in prop::collection::vec(any::<bool>(), 1..16),
-    ) {
-        let max = initial << headroom;
-        let policy = match policy_idx {
-            0 => BackPressure::DropOldest,
-            1 => BackPressure::Coalesce(key_mod2),
-            2 => BackPressure::Coalesce(key_mod3),
-            3 => BackPressure::Coalesce(key_mod5),
-            _ => BackPressure::Coalesce(key_identity),
-        };
-        let mut bus = EventBus::resizable(initial, max, policy);
-        let mut token = bus.reader();
-        let mut published: u64 = 0;
-        let mut accounted: u64 = 0;
-        let mut last_delivered: Option<u64> = None;
-
-        let drain = |bus: &EventBus<u64>,
-                         token: &mut vire_bus::ReaderToken,
-                         accounted: &mut u64,
-                         last: &mut Option<u64>|
-         -> Result<(), TestCaseError> {
-            let r = bus.read(token);
-            *accounted += r.lagged() + r.coalesced();
-            for e in r.copied() {
-                if let Some(prev) = *last {
-                    prop_assert!(e > prev, "delivery must preserve order");
-                }
-                *last = Some(e);
-                *accounted += 1;
-            }
-            Ok(())
-        };
-
-        for (burst, read) in bursts.iter().zip(read_after.iter().cycle()) {
-            for _ in 0..*burst {
-                bus.publish(published);
-                published += 1;
-            }
-            if *read {
-                drain(&bus, &mut token, &mut accounted, &mut last_delivered)?;
-            }
-        }
-        drain(&bus, &mut token, &mut accounted, &mut last_delivered)?;
-        prop_assert_eq!(
-            accounted, published,
-            "every event must be delivered or counted in lagged/coalesced"
-        );
     }
 }

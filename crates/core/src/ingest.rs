@@ -1,35 +1,30 @@
-//! The ingest front end: burst batching and beacon-run coalescing ahead
-//! of the location service.
+//! The ingest staging buffer and the wire-format rules every transport
+//! shares.
 //!
 //! A real deployment's readers emit beacon events far faster than the
-//! localization rate — a tag beaconing every ~2 s against four readers is
-//! already 4 events per period, and a burst of gateway traffic can deliver
-//! thousands of readings between two `drive` calls. Localizing every one
-//! of them is wasted work: the middleware's smoothing window only ever
-//! sees each tag's **latest** reading per reader, so a run of beacons for
-//! the same `(tag lifetime, reader)` pair collapses to its newest element
-//! with bit-identical localization output (proven by the oracle test in
-//! `vire-sim`).
+//! localization rate, and a burst of gateway traffic can deliver
+//! thousands of readings between two drives. Every one of them matters:
+//! the middleware smooths each `(tag lifetime, reader)` stream over a
+//! window of *readings* (the default is a five-reading median), so the
+//! serving path hands every accepted reading to smoothing, in order. The
+//! smoothing table is the only place where readings of one key meet.
 //!
-//! [`IngestFrontEnd`] implements that collapse at two levels:
-//!
-//! * **In the ring** — events buffer in a resizable
-//!   [`EventBus`] whose back-pressure policy is
-//!   [`Coalesce`](vire_bus::BackPressure::Coalesce) on the
-//!   [`beacon_key`]: under overload the bus merges same-key runs instead
-//!   of dropping newest data, and every merged event is counted.
-//! * **At drain** — [`IngestFrontEnd::drain`] batch-coalesces whatever
-//!   survived the ring down to the newest reading per key, in
-//!   last-occurrence order, before the batch is handed to the pipeline.
+//! [`IngestFrontEnd`] is the order-preserving, lossless staging buffer
+//! where readings wait for the next drive: [`IngestFrontEnd::accept`]
+//! appends, [`IngestFrontEnd::drain`] swaps the filled buffer out for an
+//! empty one, and [`IngestFrontEnd::recycle`] hands a drained buffer back
+//! so the steady state allocates nothing (a double-buffered `Vec` swap).
+//! Nothing is merged, dropped or reordered, so
+//! `accepted == delivered + pending` always holds.
 //!
 //! The wire format is the `vire-sim` trace schema (versions 1 and 2):
-//! [`IngestFrontEnd::accept_json`] takes either a full trace object or a
-//! bare array of readings, so captured traces and live gateway payloads
-//! share one code path.
+//! [`parse_wire`] takes either a full trace object or a bare array of
+//! readings, so captured traces and live gateway payloads share one code
+//! path. [`validate_event`] is the one finiteness rule for every
+//! encoding — the JSON parser applies it per reading, and binary
+//! transports apply it to every decoded event before accepting any.
 
-use std::collections::HashMap;
 use std::fmt;
-use vire_bus::{BackPressure, BusError, EventBus, ReaderToken};
 
 use crate::service::TagKey;
 
@@ -54,39 +49,23 @@ pub struct BeaconEvent {
     pub rssi: f64,
 }
 
-/// The coalesce key of a beacon event: the exact `(slot, generation,
-/// reader)` triple packed into 96 bits, so two distinct beacon streams can
-/// never merge (no hashing, no collisions).
-pub fn beacon_key(e: &BeaconEvent) -> u128 {
-    ((e.tag.index as u128) << 64) | ((e.tag.generation as u128) << 32) | e.reader as u128
-}
-
-/// Shape of the ingest ring.
+/// Shape of the staging buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Initial ring capacity; doubles under load (amortized O(1)).
+    /// Readings preallocated per buffer; buffers grow past it as needed
+    /// and keep their capacity across drains.
     pub initial_capacity: usize,
-    /// Capacity ceiling; past it beacon runs coalesce per [`beacon_key`].
-    pub max_capacity: usize,
-    /// Back-pressure policy past the ceiling: `true` (default) coalesces
-    /// per [`beacon_key`] so every tag keeps its newest reading; `false`
-    /// hard-drops the oldest events instead — the naive policy, kept as
-    /// the reference arm of the overload accuracy comparison
-    /// (`vire-bench/benches/service_latency.rs`).
-    pub coalesce: bool,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             initial_capacity: 64,
-            max_capacity: 65_536,
-            coalesce: true,
         }
     }
 }
 
-/// Wire-format rejection from [`IngestFrontEnd::accept_json`].
+/// Wire-format rejection from [`parse_wire`] or [`validate_event`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
     /// The payload is not valid JSON, or not the expected shape.
@@ -136,154 +115,106 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Cumulative ingest accounting. At every drain point the counters
-/// balance: `accepted == delivered + lagged + coalesced_in_ring` — no
-/// event ever disappears silently.
+/// The validation rule every encoding applies to a decoded event: time
+/// and RSSI must be finite (a NaN would poison the key's smoothing
+/// window). `index` is the event's position in its payload, for the
+/// error.
+pub fn validate_event(index: usize, e: &BeaconEvent) -> Result<(), WireError> {
+    if !e.time.is_finite() {
+        return Err(WireError::NotFinite {
+            field: "time",
+            index,
+        });
+    }
+    if !e.rssi.is_finite() {
+        return Err(WireError::NotFinite {
+            field: "rssi",
+            index,
+        });
+    }
+    Ok(())
+}
+
+/// Cumulative staging accounting: `accepted == delivered +`
+/// [`IngestFrontEnd::pending`] at every point — nothing is ever merged
+/// or dropped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Events accepted into the ring.
+    /// Events accepted into the buffer.
     pub accepted: u64,
+    /// Events handed out by drains.
+    pub delivered: u64,
     /// Drain calls.
     pub batches: u64,
-    /// Events delivered out of the ring (before batch coalescing).
-    pub delivered: u64,
-    /// Events merged away inside the ring by back-pressure coalescing.
-    pub coalesced_in_ring: u64,
-    /// Events merged away at drain time (same-key runs in one batch).
-    pub coalesced_in_batch: u64,
-    /// Events hard-dropped by the ring (0 unless every buffered event had
-    /// a distinct key at the capacity ceiling).
-    pub lagged: u64,
 }
 
-/// One drained batch: the surviving readings plus this drain's share of
-/// the loss accounting.
+/// One drained batch: every reading accepted since the previous drain,
+/// in arrival order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestBatch {
-    /// Newest reading per `(tag lifetime, reader)`, in last-occurrence
-    /// order — what the pipeline should replay.
+    /// The readings, oldest first.
     pub readings: Vec<BeaconEvent>,
-    /// Events the ring delivered into this batch before coalescing.
-    pub delivered: usize,
-    /// Events hard-dropped since the previous drain.
-    pub lagged: u64,
-    /// Events merged inside the ring since the previous drain.
-    pub coalesced_in_ring: u64,
-    /// Events merged at drain time (duplicates within this batch).
-    pub coalesced_in_batch: u64,
 }
 
-/// Burst-batching, coalescing ingest stage (see the [module docs](self)).
+/// Lossless, order-preserving staging buffer (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub struct IngestFrontEnd {
-    bus: EventBus<BeaconEvent>,
-    cursor: ReaderToken,
+    /// Readings accepted since the last drain.
+    pending: Vec<BeaconEvent>,
+    /// An empty buffer with retained capacity, swapped in at drain.
+    spare: Vec<BeaconEvent>,
     stats: IngestStats,
 }
 
 impl IngestFrontEnd {
-    /// Builds a front end with the given ring shape.
-    ///
-    /// # Panics
-    /// Panics when the config is invalid (see
-    /// [`IngestFrontEnd::try_new`]).
+    /// Builds an empty staging buffer.
     pub fn new(config: IngestConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`IngestFrontEnd::new`]: rejects a zero capacity or a
-    /// ceiling below the initial capacity.
-    pub fn try_new(config: IngestConfig) -> Result<Self, BusError> {
-        let policy = if config.coalesce {
-            BackPressure::Coalesce(beacon_key)
-        } else {
-            BackPressure::DropOldest
-        };
-        let bus = EventBus::try_resizable(config.initial_capacity, config.max_capacity, policy)?;
-        let cursor = bus.reader();
-        Ok(IngestFrontEnd {
-            bus,
-            cursor,
+        IngestFrontEnd {
+            pending: Vec::with_capacity(config.initial_capacity),
+            spare: Vec::with_capacity(config.initial_capacity),
             stats: IngestStats::default(),
-        })
+        }
     }
 
-    /// Accepts a burst of already-decoded beacon events; returns how many
-    /// were enqueued.
+    /// Appends a burst of already-decoded beacon events; returns how many
+    /// were appended.
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
-        let mut n = 0;
-        for e in events {
-            self.bus.publish(e);
-            n += 1;
-        }
+        let before = self.pending.len();
+        self.pending.extend(events);
+        let n = self.pending.len() - before;
         self.stats.accepted += n as u64;
         n
     }
 
-    /// Accepts a JSON payload in the `vire-sim` trace wire format: either
-    /// a full trace object (`{"version": .., "readings": [..], ..}`) or a
-    /// bare array of readings. Returns how many readings were enqueued;
-    /// on error nothing is enqueued.
-    pub fn accept_json(&mut self, json: &str) -> Result<usize, WireError> {
-        let events = parse_wire(json)?;
-        Ok(self.accept(events))
+    /// Takes everything accepted since the last drain, in arrival order,
+    /// swapping in the spare buffer. Pass the batch back to
+    /// [`IngestFrontEnd::recycle`] to reuse its allocation.
+    pub fn drain(&mut self) -> IngestBatch {
+        let spare = std::mem::take(&mut self.spare);
+        let readings = std::mem::replace(&mut self.pending, spare);
+        self.stats.batches += 1;
+        self.stats.delivered += readings.len() as u64;
+        IngestBatch { readings }
     }
 
-    /// Drains everything buffered since the last drain, coalescing each
-    /// `(tag lifetime, reader)` beacon run down to its newest reading.
-    pub fn drain(&mut self) -> IngestBatch {
-        let read = self.bus.read(&mut self.cursor);
-        let lagged = read.lagged();
-        let coalesced_in_ring = read.coalesced();
-        let drained: Vec<BeaconEvent> = read.copied().collect();
-        let delivered = drained.len();
-
-        // Newest reading per key, preserving last-occurrence order: an
-        // earlier duplicate is voided in place, so survivors need no sort.
-        let mut latest: HashMap<u128, usize> = HashMap::with_capacity(delivered);
-        let mut keep: Vec<Option<BeaconEvent>> = Vec::with_capacity(delivered);
-        for e in drained {
-            if let Some(prev) = latest.insert(beacon_key(&e), keep.len()) {
-                keep[prev] = None;
-            }
-            keep.push(Some(e));
+    /// Returns a drained batch's buffer for the next drain to swap in.
+    pub fn recycle(&mut self, batch: IngestBatch) {
+        let mut buffer = batch.readings;
+        if buffer.capacity() > self.spare.capacity() {
+            buffer.clear();
+            self.spare = buffer;
         }
-        let readings: Vec<BeaconEvent> = keep.into_iter().flatten().collect();
-        let coalesced_in_batch = (delivered - readings.len()) as u64;
+    }
 
-        self.stats.batches += 1;
-        self.stats.delivered += delivered as u64;
-        self.stats.lagged += lagged;
-        self.stats.coalesced_in_ring += coalesced_in_ring;
-        self.stats.coalesced_in_batch += coalesced_in_batch;
-
-        IngestBatch {
-            readings,
-            delivered,
-            lagged,
-            coalesced_in_ring,
-            coalesced_in_batch,
-        }
+    /// Readings accepted but not yet drained.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
     }
 
     /// Cumulative accounting across all drains.
     pub fn stats(&self) -> IngestStats {
         self.stats
-    }
-
-    /// Current ring capacity (grows under load).
-    pub fn capacity(&self) -> usize {
-        self.bus.capacity()
-    }
-
-    /// Ring capacity ceiling.
-    pub fn max_capacity(&self) -> usize {
-        self.bus.max_capacity()
-    }
-
-    /// Ring capacity doublings so far.
-    pub fn grown(&self) -> u64 {
-        self.bus.grown()
     }
 }
 
@@ -355,24 +286,14 @@ pub fn parse_wire_versioned(json: &str) -> Result<(u32, Vec<BeaconEvent>), WireE
             }
             None => 0,
         };
-        if !time.is_finite() {
-            return Err(WireError::NotFinite {
-                field: "time",
-                index,
-            });
-        }
-        if !rssi.is_finite() {
-            return Err(WireError::NotFinite {
-                field: "rssi",
-                index,
-            });
-        }
-        events.push(BeaconEvent {
+        let event = BeaconEvent {
             time,
             tag: TagKey::new(tag, generation),
             reader,
             rssi,
-        });
+        };
+        validate_event(index, &event)?;
+        events.push(event);
     }
     Ok((version, events))
 }
@@ -410,101 +331,99 @@ mod tests {
         }
     }
 
-    fn tiny() -> IngestFrontEnd {
-        IngestFrontEnd::new(IngestConfig {
-            initial_capacity: 2,
-            max_capacity: 4,
-            coalesce: true,
-        })
-    }
-
     #[test]
-    fn drain_keeps_newest_per_tag_reader_run() {
+    fn drain_delivers_every_reading_in_arrival_order() {
         let mut front = IngestFrontEnd::new(IngestConfig::default());
-        front.accept([
+        let burst = [
             ev(0.0, 1, 0, 0, -60.0),
             ev(0.1, 1, 0, 1, -62.0),
-            ev(0.2, 1, 0, 0, -61.0), // newer (1, r0): replaces the first
+            ev(0.2, 1, 0, 0, -61.0), // same key again: kept, not merged
             ev(0.3, 2, 0, 0, -70.0),
-            ev(0.4, 1, 0, 0, -59.5), // newest (1, r0)
-        ]);
+            ev(0.4, 1, 0, 0, -59.5),
+        ];
+        assert_eq!(front.accept(burst), 5);
+        assert_eq!(front.pending(), 5);
         let batch = front.drain();
-        assert_eq!(batch.delivered, 5);
-        assert_eq!(batch.coalesced_in_batch, 2);
-        assert_eq!(batch.lagged, 0);
-        assert_eq!(
-            batch.readings,
-            vec![
-                ev(0.1, 1, 0, 1, -62.0),
-                ev(0.3, 2, 0, 0, -70.0),
-                ev(0.4, 1, 0, 0, -59.5),
-            ],
-            "newest per key, in last-occurrence order"
-        );
+        assert_eq!(batch.readings, burst.to_vec());
+        assert_eq!(front.pending(), 0);
+        assert!(front.drain().readings.is_empty(), "drained");
     }
 
     #[test]
-    fn distinct_generations_never_merge() {
+    fn accounting_balances_at_every_point() {
+        let mut front = IngestFrontEnd::new(IngestConfig::default());
+        for n in 0..7u32 {
+            front.accept((0..n).map(|k| ev(k as f64, k % 3, 0, 0, -60.0)));
+            let stats = front.stats();
+            assert_eq!(stats.accepted, stats.delivered + front.pending() as u64);
+            if n % 2 == 1 {
+                let batch = front.drain();
+                front.recycle(batch);
+            }
+        }
+        front.drain();
+        let stats = front.stats();
+        assert_eq!(stats.accepted, stats.delivered);
+        assert_eq!(stats.accepted, (0..7u64).sum());
+    }
+
+    #[test]
+    fn recycled_buffers_are_swapped_back_in() {
+        let mut front = IngestFrontEnd::new(IngestConfig {
+            initial_capacity: 0,
+        });
+        let burst = |front: &mut IngestFrontEnd| {
+            front.accept((0..100).map(|k| ev(k as f64, 1, 0, 0, -60.0)));
+        };
+        // Warm both buffers up, then check that drains alternate between
+        // the same two allocations.
+        burst(&mut front);
+        let a = front.drain();
+        let a_ptr = a.readings.as_ptr();
+        front.recycle(a);
+        burst(&mut front);
+        let b = front.drain();
+        let b_ptr = b.readings.as_ptr();
+        front.recycle(b);
+        for round in 0..4 {
+            burst(&mut front);
+            let batch = front.drain();
+            let expect = if round % 2 == 0 { a_ptr } else { b_ptr };
+            assert_eq!(batch.readings.as_ptr(), expect, "round {round}");
+            assert_eq!(batch.readings.len(), 100);
+            front.recycle(batch);
+        }
+    }
+
+    #[test]
+    fn distinct_generations_stay_distinct_events() {
         let mut front = IngestFrontEnd::new(IngestConfig::default());
         front.accept([ev(0.0, 1, 0, 0, -60.0), ev(0.1, 1, 1, 0, -65.0)]);
         let batch = front.drain();
-        assert_eq!(batch.readings.len(), 2, "lifetimes are distinct streams");
-        assert_eq!(batch.coalesced_in_batch, 0);
+        assert_eq!(batch.readings[0].tag, TagKey::new(1, 0));
+        assert_eq!(batch.readings[1].tag, TagKey::new(1, 1));
     }
 
     #[test]
-    fn overload_coalesces_in_ring_without_loss() {
-        let mut front = tiny();
-        // 12 events for 2 keys through a ring capped at 4: the ring must
-        // coalesce (never drop), and the drained batch still ends with
-        // the newest reading of each key.
-        for n in 0..12 {
-            front.accept([ev(n as f64, (n % 2) as u32, 0, 0, -60.0 - n as f64)]);
-        }
-        let batch = front.drain();
-        assert_eq!(batch.lagged, 0, "coalescing must prevent hard drops");
-        assert!(batch.coalesced_in_ring > 0);
-        let stats = front.stats();
+    fn parse_wire_bare_array_and_trace_object() {
+        let events = parse_wire(r#"[{"time": 0.5, "tag": 3, "reader": 1, "rssi": -58.25}]"#)
+            .expect("bare array parses");
+        assert_eq!(events, vec![ev(0.5, 3, 0, 1, -58.25)]);
+        let (version, events) = parse_wire_versioned(
+            r#"{"version": 2, "readings": [
+                {"time": 1.0, "tag": 3, "reader": 1, "rssi": -59.0, "generation": 2}
+            ]}"#,
+        )
+        .expect("trace object parses");
+        assert_eq!(version, 2);
+        assert_eq!(events, vec![ev(1.0, 3, 2, 1, -59.0)]);
+    }
+
+    #[test]
+    fn parse_wire_rejects_bad_payloads() {
+        assert!(matches!(parse_wire("not json"), Err(WireError::Json(_))));
         assert_eq!(
-            stats.accepted,
-            stats.delivered + stats.lagged + stats.coalesced_in_ring,
-            "ring accounting must balance"
-        );
-        assert_eq!(batch.readings.len(), 2);
-        assert_eq!(batch.readings[1], ev(11.0, 1, 0, 0, -71.0));
-        assert_eq!(batch.readings[0], ev(10.0, 0, 0, 0, -70.0));
-    }
-
-    #[test]
-    fn accept_json_bare_array_and_trace_object() {
-        let mut front = IngestFrontEnd::new(IngestConfig::default());
-        let n = front
-            .accept_json(r#"[{"time": 0.5, "tag": 3, "reader": 1, "rssi": -58.25}]"#)
-            .unwrap();
-        assert_eq!(n, 1);
-        let n = front
-            .accept_json(
-                r#"{"version": 2, "readings": [
-                    {"time": 1.0, "tag": 3, "reader": 1, "rssi": -59.0, "generation": 2}
-                ]}"#,
-            )
-            .unwrap();
-        assert_eq!(n, 1);
-        let batch = front.drain();
-        assert_eq!(batch.readings.len(), 2, "generations stay distinct");
-        assert_eq!(batch.readings[0], ev(0.5, 3, 0, 1, -58.25));
-        assert_eq!(batch.readings[1], ev(1.0, 3, 2, 1, -59.0));
-    }
-
-    #[test]
-    fn accept_json_rejects_bad_payloads() {
-        let mut front = IngestFrontEnd::new(IngestConfig::default());
-        assert!(matches!(
-            front.accept_json("not json"),
-            Err(WireError::Json(_))
-        ));
-        assert_eq!(
-            front.accept_json(r#"{"version": 3, "readings": []}"#),
+            parse_wire(r#"{"version": 3, "readings": []}"#),
             Err(WireError::UnsupportedVersion {
                 found: 3,
                 min: 1,
@@ -512,7 +431,7 @@ mod tests {
             })
         );
         assert_eq!(
-            front.accept_json(
+            parse_wire(
                 r#"{"version": 1, "readings": [
                     {"time": 0.0, "tag": 1, "reader": 0, "rssi": -60.0, "generation": 1}
                 ]}"#
@@ -520,42 +439,36 @@ mod tests {
             Err(WireError::GenerationInV1 { index: 0 })
         );
         assert_eq!(
-            front.accept_json(r#"[{"time": 0.0, "tag": 1, "reader": 0, "rssi": null}]"#),
+            parse_wire(r#"[{"time": 0.0, "tag": 1, "reader": 0, "rssi": null}]"#),
             Err(WireError::Json(
                 "reading 0 `rssi`: expected number, got Null".into()
             ))
         );
+    }
+
+    #[test]
+    fn validate_event_rejects_non_finite_time_and_rssi() {
+        assert_eq!(validate_event(0, &ev(1.0, 1, 0, 0, -60.0)), Ok(()));
         assert_eq!(
-            front.stats().accepted,
-            0,
-            "rejected payloads enqueue nothing"
+            validate_event(3, &ev(f64::NAN, 1, 0, 0, -60.0)),
+            Err(WireError::NotFinite {
+                field: "time",
+                index: 3
+            })
         );
-    }
-
-    #[test]
-    fn try_new_rejects_bad_ring_shapes() {
-        assert!(IngestFrontEnd::try_new(IngestConfig {
-            initial_capacity: 0,
-            max_capacity: 4,
-            coalesce: true,
-        })
-        .is_err());
-        assert!(IngestFrontEnd::try_new(IngestConfig {
-            initial_capacity: 8,
-            max_capacity: 4,
-            coalesce: true,
-        })
-        .is_err());
-    }
-
-    #[test]
-    fn beacon_key_is_exact() {
-        let a = ev(0.0, 1, 0, 0, -60.0);
-        let b = ev(0.0, 0, 1, 0, -60.0);
-        let c = ev(0.0, 0, 0, 1, -60.0);
-        assert_ne!(beacon_key(&a), beacon_key(&b));
-        assert_ne!(beacon_key(&a), beacon_key(&c));
-        assert_ne!(beacon_key(&b), beacon_key(&c));
-        assert_eq!(beacon_key(&a), beacon_key(&ev(9.9, 1, 0, 0, -10.0)));
+        for rssi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                validate_event(7, &ev(1.0, 1, 0, 0, rssi)),
+                Err(WireError::NotFinite {
+                    field: "rssi",
+                    index: 7
+                })
+            );
+        }
+        // Subnormals and huge-but-finite values are legal numbers.
+        assert_eq!(
+            validate_event(0, &ev(f64::MAX, 1, 0, 0, f64::MIN_POSITIVE / 2.0)),
+            Ok(())
+        );
     }
 }

@@ -73,7 +73,7 @@ pub use incremental::{
     DirtyCell, OwnedPreparedLocalizer, PreparedLandmarcOwned, PreparedVireOwned, SyncOutcome,
 };
 pub use ingest::{
-    beacon_key, parse_wire, parse_wire_versioned, BeaconEvent, IngestBatch, IngestConfig,
+    parse_wire, parse_wire_versioned, validate_event, BeaconEvent, IngestBatch, IngestConfig,
     IngestFrontEnd, IngestStats, WireError, WIRE_MIN_VERSION, WIRE_VERSION,
 };
 pub use kalman::KalmanTracker;

@@ -16,8 +16,7 @@
 //! Client→server kinds: [`FrameKind::Hello`] (`"VIRE"` magic, protocol
 //! and wire versions, requested [`Encoding`]), [`FrameKind::Batch`]
 //! (binary: `count: u32` + `count` packed 28-byte events; JSON: a
-//! trace-schema payload exactly as [`vire_core::IngestFrontEnd::accept_json`]
-//! takes it), [`FrameKind::Query`], [`FrameKind::Stats`],
+//! trace-schema payload exactly as [`vire_core::parse_wire`] takes it), [`FrameKind::Query`], [`FrameKind::Stats`],
 //! [`FrameKind::Bye`]. Server→client kinds mirror them with the high bit
 //! set. A packed event is `time: f64 · tag: u64` ([`TagHandle::pack`])
 //! `· reader: u32 · rssi: f64` — [`EVENT_LEN`] bytes.
@@ -65,8 +64,8 @@ pub enum Encoding {
     /// Packed little-endian events ([`EVENT_LEN`] bytes each).
     Binary,
     /// Trace-schema JSON (wire v1/v2), byte-for-byte what
-    /// [`vire_core::IngestFrontEnd::accept_json`] accepts — existing
-    /// traces replay unchanged.
+    /// [`vire_core::parse_wire`] accepts — existing traces replay
+    /// unchanged.
     Json,
 }
 
@@ -104,7 +103,7 @@ pub enum FrameKind {
     Bye = 0x05,
     /// `HELLO` accepted: echoed versions, granted encoding, zone count.
     HelloOk = 0x81,
-    /// Per-batch ack with this batch's coalescing/loss share.
+    /// Per-batch ack with this batch's share of the accounting.
     BatchOk = 0x82,
     /// A [`QueryResponse`], bit-exact.
     Location = 0x83,
@@ -345,21 +344,24 @@ pub struct HelloOk {
     pub zones: u32,
 }
 
-/// A parsed `BATCH_OK` body: the batch's share of the loss accounting.
+/// A parsed `BATCH_OK` body: the batch's share of the accounting.
+///
+/// The serving path is lossless, so a server acks `survivors ==
+/// accepted` and `coalesced == lagged == 0`; the fields keep the frame
+/// layout of earlier servers, which merged same-key readings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchAck {
-    /// Events decoded and accepted from the batch frame.
+    /// Events decoded, validated and accepted from the batch frame.
     pub accepted: u32,
-    /// Events that survived the connection front end's coalescing and
-    /// were routed to shard rings.
+    /// Events routed to zone staging buffers (all accepted events).
     pub survivors: u32,
-    /// Events merged away by the connection front end for this batch.
+    /// Events merged away for this batch (always 0).
     pub coalesced: u64,
-    /// Events hard-dropped at the connection ring ceiling for this batch.
+    /// Events dropped for this batch (always 0).
     pub lagged: u64,
     /// Whether this batch's routed zones were driven before the ack
     /// (false only when another gateway held a zone's pipeline lock —
-    /// that driver or the next one picks the survivors up).
+    /// that driver or the next one smooths the staged readings).
     pub drove: bool,
 }
 

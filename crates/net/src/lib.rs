@@ -14,11 +14,10 @@
 //!   state allocates nothing, and replies accumulate in a [`FrameSink`]
 //!   that flushes whole bursts with one vectored write.
 //! - [`server`] — [`NetServer`]: a listener plus thread-per-gateway
-//!   connections. Each connection frames into its **own**
-//!   [`vire_core::IngestFrontEnd`], so gateways never contend on a
-//!   shared lock; coalesced survivors are routed by campus-frame reader
-//!   id ([`ReaderRoute`]) into per-zone shard rings that feed one
-//!   [`vire_sim::IngestServer`] pipeline per zone.
+//!   connections. Each connection decodes, validates and routes a batch
+//!   by campus-frame reader id ([`ReaderRoute`]) straight into per-zone
+//!   lossless staging buffers, and the zone's driver smooths every staged
+//!   reading through one [`vire_sim::IngestServer`] pipeline per zone.
 //! - [`client`] — [`GatewayClient`]: the load-generating counterpart
 //!   used by the oracle tests, the `net_throughput` bench, and any
 //!   external gateway.
@@ -26,20 +25,20 @@
 //!   `signal(2)` FFI) so `vire-repro serve --listen` can drain in-flight
 //!   frames and print final accounting on ctrl-c.
 //!
-//! ## Loss accounting across the fabric
+//! ## Accounting across the fabric
 //!
-//! The PR 9 identity — accepted == delivered + lagged + coalesced —
-//! extends across all three buffering levels (connection front end →
-//! shard ring → zone pipeline). [`NetStats`] aggregates the chain and
-//! [`NetStats::balanced`] checks the identity; it holds exactly whenever
-//! the shard rings are flushed (every `STATS` request and every
-//! shutdown flushes them).
+//! Nothing between the socket and the smoothing filters merges or drops
+//! a reading, so the ledger is one identity: every event accepted from a
+//! frame is delivered to its zone's smoothing table. [`NetStats`] carries
+//! both counts and [`NetStats::balanced`] checks them; the identity holds
+//! exactly whenever no reading is staged for a drive (every `STATS`
+//! request and every shutdown drives every zone first).
 //!
 //! ## Failure domains
 //!
 //! A malformed or truncated frame (bad length prefix, short read,
-//! invalid wire version, unroutable reader) closes **only** that
-//! gateway's connection and increments [`NetStats::protocol_errors`];
+//! invalid wire version, non-finite time or RSSI, unroutable reader)
+//! closes **only** that gateway's connection and increments [`NetStats::protocol_errors`];
 //! the shared zone state is never poisoned and other gateways stream on
 //! undisturbed.
 
@@ -63,25 +62,25 @@ pub use shutdown::{install_sigint, reset_sigint, sigint_pending, trigger_sigint}
 
 use std::fmt;
 
-/// Aggregated serving-fabric accounting: the connection-level atomics
-/// plus every shard ring's and zone pipeline's [`vire_core::IngestStats`]
-/// folded into one ledger. Snapshot via [`server::NetServer::stats`] or
-/// over the wire via [`GatewayClient::stats`].
+/// Serving-fabric accounting: the connection-level counters plus the
+/// readings every zone pipeline has smoothed. Snapshot via
+/// [`server::NetServer::stats`] or over the wire via
+/// [`GatewayClient::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Beacon events accepted from gateway frames (post-decode,
-    /// pre-coalescing).
+    /// Beacon events accepted from gateway frames (decoded, validated
+    /// and routed).
     pub accepted: u64,
-    /// Events that survived every coalescing level and reached a zone
-    /// pipeline's localization stage.
+    /// Events smoothed by a zone pipeline.
     pub delivered: u64,
-    /// Events merged away by newest-per-`(tag, reader)` coalescing at
-    /// any level (connection front end, shard ring, or zone pipeline).
+    /// Events merged away before smoothing. Always 0 — the serving path
+    /// is lossless; kept so the `STATS_OK` layout is unchanged.
     pub coalesced: u64,
-    /// Events hard-dropped at a ring ceiling at any level.
+    /// Events dropped before smoothing. Always 0, as `coalesced`.
     pub lagged: u64,
     /// Connections closed for protocol violations (malformed frame, bad
-    /// length prefix, invalid wire version, unroutable reader, …).
+    /// length prefix, invalid wire version, non-finite time or RSSI,
+    /// unroutable reader, …).
     pub protocol_errors: u64,
     /// `accept(2)` failures other than the non-blocking listener's idle
     /// `WouldBlock` tick. A steadily climbing count means the listener is
@@ -97,11 +96,12 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Whether the loss-accounting identity
-    /// `accepted == delivered + lagged + coalesced` holds. True whenever
-    /// the shard rings have been flushed (after `STATS` or shutdown);
-    /// mid-stream a snapshot may be transiently unbalanced because
-    /// survivors are parked in a shard ring awaiting the next drive.
+    /// Whether the accounting identity
+    /// `accepted == delivered + lagged + coalesced` holds (with the last
+    /// two always 0: every accepted event was smoothed). True whenever
+    /// no reading is staged (after `STATS` or shutdown); mid-stream a
+    /// snapshot may be transiently unbalanced because readings wait in a
+    /// zone's staging buffer for its next drive.
     pub fn balanced(&self) -> bool {
         self.accepted == self.delivered + self.lagged + self.coalesced
     }
@@ -111,12 +111,10 @@ impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "accepted {} == delivered {} + lagged {} + coalesced {} ({}); \
+            "accepted {}, delivered {} ({}); \
              protocol_errors {}, accept_errors {}, connections {}, frames {}, queries {}",
             self.accepted,
             self.delivered,
-            self.lagged,
-            self.coalesced,
             if self.balanced() {
                 "balanced"
             } else {

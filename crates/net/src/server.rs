@@ -7,29 +7,33 @@
 //! threads — zone drives performed on a connection thread still fan
 //! localization out through [`vire_core::WorkerPool::global`]). Each
 //! connection owns its decode state end-to-end: a [`FrameDecoder`], a
-//! [`FrameSink`], and — crucially — its **own**
-//! [`vire_core::IngestFrontEnd`], so burst coalescing runs without any
-//! shared lock and gateways never contend on ingest.
+//! [`FrameSink`], and reusable per-zone routing buffers, so the steady
+//! state allocates nothing.
 //!
-//! ## Shard routing
+//! ## One hop from socket to smoothing
 //!
-//! Survivors of the connection-level coalesce are routed by
-//! campus-frame reader id ([`ReaderRoute`]: contiguous global id blocks,
-//! one per zone) into that zone's shard: a mutex-guarded ingest ring
-//! feeding an [`IngestServer`] pipeline behind a `RwLock`. The routing
-//! thread appends to the ring (short critical section), then *tries* to
-//! take the zone's drive lock — if another gateway is already driving
-//! the zone, the survivors are safely parked in the ring for that (or
-//! the next) driver to drain. Queries take the zone's read lock: they
-//! run concurrently with each other and only wait out an actual drive
-//! of the same zone.
+//! A `BATCH` frame is decoded, **validated** (finite time and RSSI —
+//! [`vire_core::validate_event`], the same rule for both encodings — and
+//! a routable reader for every event; any failure rejects the whole frame
+//! before anything is accepted), then **routed** by campus-frame reader
+//! id ([`ReaderRoute`]: contiguous global id blocks, one per zone) into
+//! that zone's shard: a mutex-guarded, lossless staging buffer
+//! ([`vire_core::IngestFrontEnd`]) in front of an [`IngestServer`]
+//! pipeline behind a `RwLock`. The routing thread appends to the buffer
+//! (short critical section), then *tries* to take the zone's drive lock:
+//! the driver swaps the buffer out, smooths every staged reading in
+//! arrival order, and drives the location service. If another gateway is
+//! already driving the zone, the readings wait in the buffer for that (or
+//! the next) driver. Nothing on the way merges, drops or reorders a
+//! reading. Queries take the zone's read lock: they run concurrently with
+//! each other and only wait out an actual drive of the same zone.
 //!
 //! ## Shutdown
 //!
 //! [`NetServer::shutdown`] flips the stop latch, joins the acceptor and
 //! every connection thread (each drains frames already buffered before
-//! exiting), then flushes every shard ring through its pipeline so the
-//! final [`NetStats`] is exactly balanced.
+//! exiting), then drives every zone so its staging buffer is empty and
+//! the final [`NetStats`] is exactly balanced.
 
 use crate::codec::{
     decode_batch_events, decode_hello, decode_query, BatchAck, Encoding, FrameDecoder, FrameKind,
@@ -42,15 +46,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vire_core::{ingest::parse_wire_versioned, BeaconEvent, IngestFrontEnd, Localizer};
+use vire_core::{
+    ingest::parse_wire_versioned, validate_event, BeaconEvent, IngestFrontEnd, Localizer,
+};
 use vire_sim::trace::TraceError;
 use vire_sim::{IngestServer, ServeConfig, Trace};
 
 /// Serving-fabric configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Ring shape shared by the connection front ends, shard rings, and
-    /// zone pipelines; location-service and smoothing tuning per zone.
+    /// Zone staging-buffer shape, location-service and smoothing tuning
+    /// per zone.
     pub serve: ServeConfig,
     /// Ceiling on one frame's body length (a bad length prefix above it
     /// is a protocol error, never an allocation).
@@ -157,11 +163,12 @@ impl ReaderRoute {
     }
 }
 
-/// One zone's shard: the parking ring survivors are routed into, and the
-/// pipeline that drains it. Ring and pipeline are locked independently,
-/// so routing (a short append) never waits on a drive in progress.
+/// One zone's shard: the staging buffer routed readings wait in, and
+/// the pipeline that smooths and localizes them. Buffer and pipeline are
+/// locked independently, so routing (a short append) never waits on a
+/// drive in progress.
 struct ZoneShard<L: Localizer> {
-    ring: Mutex<IngestFrontEnd>,
+    staged: Mutex<IngestFrontEnd>,
     pipeline: RwLock<IngestServer<L>>,
 }
 
@@ -173,8 +180,6 @@ struct Shared<L: Localizer> {
     config: NetConfig,
     stop: AtomicBool,
     accepted: AtomicU64,
-    conn_coalesced: AtomicU64,
-    conn_lagged: AtomicU64,
     protocol_errors: AtomicU64,
     accept_errors: AtomicU64,
     connections: AtomicU64,
@@ -201,26 +206,26 @@ impl<L: Localizer> Shared<L> {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    fn ring_lock(&self, zone: usize) -> std::sync::MutexGuard<'_, IngestFrontEnd> {
+    fn staged_lock(&self, zone: usize) -> std::sync::MutexGuard<'_, IngestFrontEnd> {
         self.zones[zone]
-            .ring
+            .staged
             .lock()
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Drains `zone`'s parking ring into a held pipeline guard and
-    /// drives it. The ring lock is taken *after* the pipeline lock and
-    /// released before the drive — append-side threads never queue
-    /// behind localization work.
+    /// Smooths everything staged for `zone` into a held pipeline guard
+    /// and drives it. The staging lock is taken *after* the pipeline lock
+    /// and only to swap buffers — append-side threads never queue behind
+    /// smoothing or localization work.
     fn drive_zone(&self, zone: usize, pipe: &mut IngestServer<L>) {
-        let parked = self.ring_lock(zone).drain();
-        if !parked.readings.is_empty() {
-            pipe.accept(parked.readings.iter().copied());
-        }
+        let batch = self.staged_lock(zone).drain();
+        pipe.accept(batch.readings.iter().copied());
+        self.staged_lock(zone).recycle(batch);
         pipe.drive();
     }
 
-    /// Flushes every shard so the accounting identity holds exactly.
+    /// Drives every zone so no reading is left staged and the accounting
+    /// identity holds exactly.
     fn flush_all(&self) {
         for z in 0..self.zones.len() {
             let mut pipe = self.pipeline_write(z);
@@ -228,12 +233,11 @@ impl<L: Localizer> Shared<L> {
         }
     }
 
-    /// Aggregates the three buffering levels into one ledger.
+    /// The fabric ledger: events accepted from frames against events
+    /// smoothed by the zone pipelines.
     fn stats(&self) -> NetStats {
         let mut s = NetStats {
             accepted: self.accepted.load(Ordering::Relaxed),
-            coalesced: self.conn_coalesced.load(Ordering::Relaxed),
-            lagged: self.conn_lagged.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
@@ -242,15 +246,7 @@ impl<L: Localizer> Shared<L> {
             ..NetStats::default()
         };
         for z in 0..self.zones.len() {
-            let ring = self.ring_lock(z).stats();
-            s.coalesced += ring.coalesced_in_ring + ring.coalesced_in_batch;
-            s.lagged += ring.lagged;
-            let pipe = self.pipeline_read(z).ingest_stats();
-            s.coalesced += pipe.coalesced_in_ring + pipe.coalesced_in_batch;
-            s.lagged += pipe.lagged;
-            // Final survivors: what actually reached the localization
-            // stage after the pipeline front's own coalescing.
-            s.delivered += pipe.delivered - pipe.coalesced_in_batch;
+            s.delivered += self.pipeline_read(z).ingest_stats().delivered;
         }
         s
     }
@@ -292,7 +288,7 @@ impl<L: Localizer + Send + 'static> NetServer<L> {
         for (z, trace) in traces.iter().enumerate() {
             sizes.push(trace.readers.len());
             zones.push(ZoneShard {
-                ring: Mutex::new(IngestFrontEnd::new(config.serve.ingest)),
+                staged: Mutex::new(IngestFrontEnd::new(config.serve.ingest)),
                 pipeline: RwLock::new(IngestServer::from_trace(
                     trace,
                     localizer(z),
@@ -319,8 +315,6 @@ impl<L: Localizer + Send + 'static> NetServer<L> {
             config,
             stop: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
-            conn_coalesced: AtomicU64::new(0),
-            conn_lagged: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -360,14 +354,15 @@ impl<L: Localizer + Send + 'static> NetServer<L> {
     }
 
     /// A live accounting snapshot (may be transiently unbalanced while
-    /// survivors are parked in shard rings — see [`NetStats::balanced`]).
+    /// readings are staged for a zone's next drive — see
+    /// [`NetStats::balanced`]).
     pub fn stats(&self) -> NetStats {
         self.shared.stats()
     }
 
     /// Stops accepting, joins every connection thread (each drains what
-    /// it already buffered), flushes all shard rings, and returns the
-    /// final — exactly balanced — accounting.
+    /// it already buffered), drives every zone's staged readings, and
+    /// returns the final — exactly balanced — accounting.
     pub fn shutdown(mut self) -> NetStats {
         self.shutdown_in_place()
     }
@@ -451,10 +446,9 @@ enum ConnEnd {
 /// steady state allocates nothing.
 struct ConnState {
     sink: FrameSink,
-    front: IngestFrontEnd,
     /// Decoded-but-unrouted events for the frame in flight.
     scratch: Vec<BeaconEvent>,
-    /// Per-zone survivor runs for the frame in flight.
+    /// Per-zone runs (zone-local reader ids) for the frame in flight.
     runs: Vec<Vec<BeaconEvent>>,
     encoding: Option<Encoding>,
     /// The wire version pinned at `HELLO`. A JSON batch whose payload
@@ -470,7 +464,6 @@ fn serve_conn<L: Localizer>(shared: &Shared<L>, mut stream: TcpStream) {
     let mut decoder = FrameDecoder::new(shared.config.max_frame_len);
     let mut st = ConnState {
         sink: FrameSink::new(),
-        front: IngestFrontEnd::new(shared.config.serve.ingest),
         scratch: Vec::new(),
         runs: (0..shared.zones.len()).map(|_| Vec::new()).collect(),
         encoding: None,
@@ -587,7 +580,7 @@ fn handle_frame<L: Localizer>(
     }
 }
 
-/// Decodes, validates, coalesces, routes, and drives one batch frame.
+/// Decodes, validates, routes, stages, and drives one batch frame.
 fn handle_batch<L: Localizer>(
     shared: &Shared<L>,
     st: &mut ConnState,
@@ -611,46 +604,36 @@ fn handle_batch<L: Localizer>(
             st.scratch.extend(events);
         }
     }
-    // Validate routing *before* accepting, so a protocol error never
-    // strands accepted events and the accounting identity stays exact.
-    for e in &st.scratch {
+    // Validate the whole frame *before* accepting any of it, with one
+    // rule for both encodings: a protocol error never strands accepted
+    // events, and no NaN ever reaches a smoothing window.
+    for (index, e) in st.scratch.iter().enumerate() {
+        validate_event(index, e).map_err(|_| ())?;
         if shared.route.resolve(e.reader).is_none() {
             return Err(());
         }
     }
-    let accepted = st.front.accept(st.scratch.drain(..));
-    let batch = st.front.drain();
+    let accepted = st.scratch.len();
+    // Counted before staging, so a concurrent STATS never sees more
+    // delivered than accepted.
     shared
         .accepted
         .fetch_add(accepted as u64, Ordering::Relaxed);
-    shared.conn_coalesced.fetch_add(
-        batch.coalesced_in_ring + batch.coalesced_in_batch,
-        Ordering::Relaxed,
-    );
-    shared
-        .conn_lagged
-        .fetch_add(batch.lagged, Ordering::Relaxed);
 
-    for e in &batch.readings {
-        let (zone, local) = shared
-            .route
-            .resolve(e.reader)
-            .expect("validated before accept");
-        st.runs[zone as usize].push(BeaconEvent {
-            reader: local,
-            ..*e
-        });
+    for e in st.scratch.drain(..) {
+        let (zone, local) = shared.route.resolve(e.reader).expect("validated");
+        st.runs[zone as usize].push(BeaconEvent { reader: local, ..e });
     }
     let mut drove = true;
     for zone in 0..st.runs.len() {
         if st.runs[zone].is_empty() {
             continue;
         }
-        // Park survivors in the shard ring (short critical section;
-        // never held while driving)…
-        shared.ring_lock(zone).accept(st.runs[zone].drain(..));
+        // Stage the readings (short critical section; never held while
+        // driving)…
+        shared.staged_lock(zone).accept(st.runs[zone].drain(..));
         // …then try to become the zone's driver. Losing the race is
-        // fine: the current driver (or the next) drains the ring.
+        // fine: the current driver (or the next) smooths what is staged.
         match shared.zones[zone].pipeline.try_write() {
             Ok(mut pipe) => shared.drive_zone(zone, &mut pipe),
             Err(std::sync::TryLockError::Poisoned(e)) => {
@@ -661,9 +644,9 @@ fn handle_batch<L: Localizer>(
     }
     st.sink.batch_ok(BatchAck {
         accepted: accepted as u32,
-        survivors: batch.readings.len() as u32,
-        coalesced: batch.coalesced_in_ring + batch.coalesced_in_batch,
-        lagged: batch.lagged,
+        survivors: accepted as u32,
+        coalesced: 0,
+        lagged: 0,
         drove,
     });
     Ok(())

@@ -126,7 +126,7 @@ fn assert_socket_matches_in_process(kernel: InterpolationKernel, encoding: Encod
             .accept_json(&chunk_json(chunk))
             .expect("wire json parses");
         let report = inproc.drive();
-        assert_eq!(report.lagged, 0);
+        assert_eq!(report.delivered, chunk.len());
 
         // Compare every tag's answer at the chunk horizon, bit for bit.
         let at = chunk.last().expect("chunks non-empty").time;
@@ -256,6 +256,81 @@ fn malformed_frame_closes_one_connection_not_the_service() {
     assert!(stats.balanced(), "rogues must not skew accounting: {stats}");
     assert_eq!(stats.accepted, trace.readings.len() as u64);
     healthy.bye().expect("clean close");
+    server.shutdown();
+}
+
+/// The NaN wedge: a binary batch whose events are well-framed but carry
+/// a NaN RSSI must be rejected whole, like the JSON path's `NotFinite`.
+/// Were it accepted, the NaN would sit in the key's median window and
+/// every later drive of the zone would see it — other gateways included.
+#[test]
+fn non_finite_binary_batch_fails_its_connection_not_the_zone() {
+    let trace = capture();
+    let server = NetServer::from_traces(
+        "127.0.0.1:0",
+        std::slice::from_ref(&trace),
+        |_| vire(InterpolationKernel::Linear),
+        NetConfig::default(),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let mut inproc = IngestServer::from_trace(
+        &trace,
+        vire(InterpolationKernel::Linear),
+        ServeConfig::default(),
+    )
+    .expect("trace infers its own deployment");
+
+    let chunks: Vec<Vec<BeaconEvent>> = trace
+        .readings
+        .chunks(340)
+        .map(|c| c.iter().map(to_beacon).collect())
+        .collect();
+    let (first, rest) = chunks.split_at(chunks.len() / 2);
+    let mut b = GatewayClient::connect(addr, Encoding::Binary).expect("connect B");
+    let mut stream = |b: &mut GatewayClient, chunks: &[Vec<BeaconEvent>]| {
+        for chunk in chunks {
+            let ack = b.send_batch_ack(chunk).expect("B streams");
+            assert!(ack.drove);
+            inproc.accept(chunk.iter().copied());
+            inproc.drive();
+        }
+    };
+    stream(&mut b, first);
+
+    // Gateway A: a frame of healthy readings with one NaN RSSI inside,
+    // for a key B keeps streaming.
+    let mut a = GatewayClient::connect(addr, Encoding::Binary).expect("connect A");
+    let mut poisoned = chunks[0].clone();
+    let mid = poisoned.len() / 2;
+    poisoned[mid].rssi = f64::NAN;
+    assert!(
+        a.send_batch_ack(&poisoned).is_err(),
+        "a NaN frame must close the connection instead of acking"
+    );
+
+    stream(&mut b, rest);
+    let at = trace.readings.last().expect("non-empty").time;
+    for tag in probes() {
+        let served = b
+            .query(0, LocationQuery { tag, at })
+            .expect("B still served");
+        let clean = inproc.query(LocationQuery { tag, at });
+        assert_eq!(
+            response_bits(&served),
+            response_bits(&clean),
+            "tag {tag:?}: the rejected frame changed a served answer"
+        );
+    }
+    let stats = b.stats().expect("stats");
+    assert_eq!(stats.protocol_errors, 1, "{stats}");
+    assert!(stats.balanced(), "{stats}");
+    assert_eq!(
+        stats.accepted,
+        trace.readings.len() as u64,
+        "nothing from the NaN frame was accepted: {stats}"
+    );
+    b.bye().expect("clean close");
     server.shutdown();
 }
 

@@ -149,6 +149,8 @@ pub struct Testbed {
     /// The bus-subscribed middleware stage (pumped after every beacon, so
     /// it never lags the engine).
     stage: MiddlewareStage,
+    /// The stage's cursor on `bus`.
+    stage_token: ReaderToken,
     queue: EventQueue,
     clock: f64,
     rng: SmallRng,
@@ -211,11 +213,11 @@ impl Testbed {
             .legacy_power_levels
             .then(PowerLevelQuantizer::paper_default);
         let bus = EventBus::with_capacity(config.event_capacity);
+        let stage_token = bus.reader();
         let stage = MiddlewareStage::new(
             Middleware::new(config.smoothing, config.keep_log),
             config.deployment.reference_grid,
             config.deployment.readers.clone(),
-            bus.reader(),
         );
         let budget_cache = config
             .link_budget_cache
@@ -228,6 +230,7 @@ impl Testbed {
             reference_tags: HashMap::new(),
             bus,
             stage,
+            stage_token,
             queue: EventQueue::new(),
             clock: 0.0,
             quantizer,
@@ -524,7 +527,7 @@ impl Testbed {
             // Pump the middleware stage after every beacon: the engine's
             // own consumer never falls behind the bus, so the smoothed
             // table matches the direct-call path bit for bit.
-            self.stage.pump(&self.bus);
+            self.stage.pump(&self.bus, &mut self.stage_token);
             // Reschedule the next beacon with jitter.
             let tag_info = self.tags[tag.slot()];
             let jitter = if self.config.beacon_jitter_frac > 0.0 {

@@ -16,11 +16,14 @@
 //! * [`middleware`] — the reading store and its export into the
 //!   `vire-core` data model ([`vire_core::ReferenceRssiMap`] +
 //!   [`vire_core::TrackingReading`]),
-//! * [`pipeline`] — the streaming data path: the engine publishes every
-//!   decoded reading to a `vire-bus` event channel, and the bus-subscribed
-//!   [`MiddlewareStage`] smooths per event with incremental dirty-cell
-//!   tracking, implementing [`vire_core::SnapshotSource`] so
+//! * [`pipeline`] — the streaming data path: [`MiddlewareStage`] smooths
+//!   every reading into its per-`(tag, reader)` filter with incremental
+//!   dirty-cell tracking (fed from a `vire-bus` event channel by the
+//!   engine, or one reading at a time by [`IngestServer`]), implementing
+//!   [`vire_core::SnapshotSource`] so
 //!   [`vire_core::LocationService::drive`] localizes only what changed,
+//! * [`serve`] — [`IngestServer`]: wire-format ingest straight into the
+//!   smoothing table, plus O(1) location queries,
 //! * [`engine`] — [`Testbed`]: wires a deployment, an environment, and a
 //!   channel together and runs simulated time; it is itself a
 //!   [`vire_core::SnapshotSource`], so zone fabrics drive testbeds
@@ -57,6 +60,4 @@ pub use serve::{DriveReport, IngestServer, ServeConfig};
 pub use smoothing::{SmoothingError, SmoothingKind};
 pub use tag::{TagId, TagRole};
 pub use trace::Trace;
-pub use vire_bus::{
-    BackPressure, BusError, BusRead, EventBus, ReaderToken, ShardReaderToken, ShardedBus,
-};
+pub use vire_bus::{BusError, BusRead, EventBus, ReaderToken};

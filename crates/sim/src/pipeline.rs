@@ -1,12 +1,12 @@
-//! The bus-subscribed middleware pipeline stage.
+//! The middleware pipeline stage: the per-key smoothing table plus
+//! incremental dirty tracking.
 //!
-//! The streaming data path is `engine → bus → middleware stage → location
-//! service`: the engine publishes every decoded [`Reading`] to a
-//! [`vire_bus::EventBus`], and a [`MiddlewareStage`] subscribed with its
-//! own [`vire_bus::ReaderToken`] consumes the stream at its own pace —
-//! applying the smoothing filters per event and tracking exactly which
-//! `(tag, reader)` cells changed, so downstream exports touch only dirty
-//! state:
+//! Every reading enters through [`MiddlewareStage::ingest`], which applies
+//! the `(tag, reader)` smoothing filter and records exactly which cells
+//! changed, so downstream exports touch only dirty state. The serving
+//! path ([`crate::IngestServer`]) calls it once per accepted reading; the
+//! simulated testbed publishes its readings to a [`vire_bus::EventBus`]
+//! and [`MiddlewareStage::pump`]s them through the same `ingest`.
 //!
 //! * [`MiddlewareStage::reference_map`] refreshes the cached calibration
 //!   map in place, rewriting only the cells whose smoothed value moved,
@@ -41,22 +41,20 @@ pub struct PumpStats {
     pub lagged: u64,
 }
 
-/// A middleware consuming [`Reading`] events from a bus, with incremental
+/// A middleware smoothing [`Reading`]s one at a time, with incremental
 /// dirty-cell tracking. See the [module docs](self).
 #[derive(Debug)]
 pub struct MiddlewareStage {
     middleware: Middleware,
-    token: ReaderToken,
     /// Timestamp of the newest ingested reading.
     clock: f64,
-    /// Total events lost across all pumps.
-    lagged_total: u64,
     grid: RegularGrid,
     readers: Vec<Point2>,
     /// Lattice node -> pinned reference tag (for full exports).
     reference_tags: HashMap<GridIndex, TagId>,
-    /// Reference tag -> its lattice node (for dirty classification).
-    reference_cells: HashMap<TagId, GridIndex>,
+    /// Pinned reference tags with their lattice nodes, sorted by tag:
+    /// classifying a reading is a short binary search, not a hash.
+    reference_cells: Vec<(TagId, GridIndex)>,
     /// Last exported calibration map, updated in place.
     cached_map: Option<ReferenceRssiMap>,
     /// Changed reference cells not yet applied to `cached_map`.
@@ -74,25 +72,17 @@ pub struct MiddlewareStage {
 }
 
 impl MiddlewareStage {
-    /// Wraps `middleware` as a pipeline stage reading from the bus
-    /// position captured in `token`. `grid` and `readers` describe the
-    /// deployment; pin reference tags with
+    /// Wraps `middleware` as a pipeline stage. `grid` and `readers`
+    /// describe the deployment; pin reference tags with
     /// [`MiddlewareStage::pin_reference`].
-    pub fn new(
-        middleware: Middleware,
-        grid: RegularGrid,
-        readers: Vec<Point2>,
-        token: ReaderToken,
-    ) -> Self {
+    pub fn new(middleware: Middleware, grid: RegularGrid, readers: Vec<Point2>) -> Self {
         MiddlewareStage {
             middleware,
-            token,
             clock: 0.0,
-            lagged_total: 0,
             grid,
             readers,
             reference_tags: HashMap::new(),
-            reference_cells: HashMap::new(),
+            reference_cells: Vec::new(),
             cached_map: None,
             dirty_ref_cells: Vec::new(),
             service_dirty: Vec::new(),
@@ -128,32 +118,53 @@ impl MiddlewareStage {
     /// tracking dirty set.
     pub fn pin_reference(&mut self, idx: GridIndex, tag: TagId) {
         self.reference_tags.insert(idx, tag);
-        self.reference_cells.insert(tag, idx);
+        match self.reference_cells.binary_search_by_key(&tag, |&(t, _)| t) {
+            Ok(at) => self.reference_cells[at].1 = idx,
+            Err(at) => self.reference_cells.insert(at, (tag, idx)),
+        }
     }
 
-    /// Drains every new event from the bus through the smoothing filters,
-    /// recording which cells changed. Returns what was consumed.
-    pub fn pump(&mut self, bus: &EventBus<Reading>) -> PumpStats {
-        let read = bus.read(&mut self.token);
+    /// Smooths one reading into its `(tag, reader)` filter, advancing the
+    /// clock and recording the cell as dirty when its smoothed value
+    /// bit-changed. Returns whether it changed.
+    pub fn ingest(&mut self, reading: Reading) -> bool {
+        if reading.time > self.clock {
+            self.clock = reading.time;
+        }
+        if !self.middleware.ingest(reading) {
+            return false;
+        }
+        match self
+            .reference_cells
+            .binary_search_by_key(&reading.tag, |&(t, _)| t)
+        {
+            Ok(at) => self
+                .dirty_ref_cells
+                .push((self.reference_cells[at].1, reading.reader)),
+            // A beacon's readings arrive back to back: the last-entry check
+            // spares the set lookup for all but the first of them.
+            Err(_)
+                if self.dirty_tracking.last() != Some(&reading.tag)
+                    && self.dirty_tracking_set.insert(reading.tag) =>
+            {
+                self.dirty_tracking.push(reading.tag)
+            }
+            Err(_) => {}
+        }
+        true
+    }
+
+    /// [`MiddlewareStage::ingest`]s every event published to `bus` since
+    /// `token` last read. Returns what was consumed.
+    pub fn pump(&mut self, bus: &EventBus<Reading>, token: &mut ReaderToken) -> PumpStats {
+        let read = bus.read(token);
         let mut stats = PumpStats {
             lagged: read.lagged(),
             ..PumpStats::default()
         };
-        self.lagged_total += stats.lagged;
         for &reading in read {
             stats.events += 1;
-            if reading.time > self.clock {
-                self.clock = reading.time;
-            }
-            if !self.middleware.ingest(reading) {
-                continue;
-            }
-            stats.changed += 1;
-            if let Some(&cell) = self.reference_cells.get(&reading.tag) {
-                self.dirty_ref_cells.push((cell, reading.reader));
-            } else if self.dirty_tracking_set.insert(reading.tag) {
-                self.dirty_tracking.push(reading.tag);
-            }
+            stats.changed += usize::from(self.ingest(reading));
         }
         stats
     }
@@ -166,12 +177,6 @@ impl MiddlewareStage {
     /// Timestamp of the newest ingested reading, seconds.
     pub fn clock(&self) -> f64 {
         self.clock
-    }
-
-    /// Total events this stage lost to bus overwriting (0 when it always
-    /// kept up).
-    pub fn lagged_total(&self) -> u64 {
-        self.lagged_total
     }
 
     /// Number of tracking tags currently marked dirty.
@@ -295,27 +300,36 @@ mod tests {
     }
 
     /// 2×2 lattice with tags 0–3 pinned, one reader, tag 10 tracking.
-    fn stage_and_bus() -> (MiddlewareStage, EventBus<Reading>) {
+    fn stage_and_bus() -> (MiddlewareStage, EventBus<Reading>, ReaderToken) {
         let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
         let bus = EventBus::with_capacity(64);
+        let token = bus.reader();
         let mut stage = MiddlewareStage::new(
             Middleware::new(SmoothingKind::Raw, false),
             grid,
             vec![Point2::new(-1.0, -1.0)],
-            bus.reader(),
         );
         for (n, idx) in grid.indices().enumerate() {
             stage.pin_reference(idx, TagId::first(n as u32));
         }
-        (stage, bus)
+        (stage, bus, token)
+    }
+
+    #[test]
+    fn ingest_reports_changes_and_tracks_clock() {
+        let (mut stage, _, _) = stage_and_bus();
+        assert!(stage.ingest(reading(2.0, 10, 0, -80.0)));
+        assert!(!stage.ingest(reading(1.0, 10, 0, -80.0)), "same value");
+        assert_eq!(stage.clock(), 2.0, "the clock never runs backwards");
+        assert_eq!(stage.pending_tracking(), 1);
     }
 
     #[test]
     fn pump_applies_smoothing_and_tracks_clock() {
-        let (mut stage, mut bus) = stage_and_bus();
+        let (mut stage, mut bus, mut token) = stage_and_bus();
         bus.publish(reading(1.0, 0, 0, -70.0));
         bus.publish(reading(3.0, 10, 0, -80.0));
-        let stats = stage.pump(&bus);
+        let stats = stage.pump(&bus, &mut token);
         assert_eq!(stats.events, 2);
         assert_eq!(stats.changed, 2);
         assert_eq!(stats.lagged, 0);
@@ -326,29 +340,29 @@ mod tests {
         );
         // Repeating the identical reading changes nothing.
         bus.publish(reading(4.0, 0, 0, -70.0));
-        let stats = stage.pump(&bus);
+        let stats = stage.pump(&bus, &mut token);
         assert_eq!(stats.events, 1);
         assert_eq!(stats.changed, 0);
     }
 
     #[test]
     fn reference_map_is_incrementally_refreshed() {
-        let (mut stage, mut bus) = stage_and_bus();
+        let (mut stage, mut bus, mut token) = stage_and_bus();
         // Incomplete coverage -> None.
         bus.publish(reading(0.0, 0, 0, -70.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         assert!(stage.reference_map().is_none());
         // Complete coverage -> full export.
         for n in 1..4u32 {
             bus.publish(reading(0.5, n, 0, -70.0 - n as f64));
         }
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         let map = stage.reference_map().expect("complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -70.0);
         // A changed cell is rewritten in place; untouched cells keep
         // their values.
         bus.publish(reading(1.0, 0, 0, -90.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         let map = stage.reference_map().expect("still complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -90.0);
         assert_eq!(map.rssi(0, GridIndex::new(1, 1)), -73.0);
@@ -356,10 +370,10 @@ mod tests {
 
     #[test]
     fn changed_readings_drains_only_dirty_tracking_tags() {
-        let (mut stage, mut bus) = stage_and_bus();
+        let (mut stage, mut bus, mut token) = stage_and_bus();
         bus.publish(reading(0.0, 10, 0, -75.0));
         bus.publish(reading(0.0, 11, 0, -85.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         let changed = stage.changed_readings();
         assert_eq!(changed.len(), 2);
         assert_eq!(changed[0].0, TagId::first(10), "first-dirtied order");
@@ -367,7 +381,7 @@ mod tests {
         // Drained: nothing pending until a value changes again.
         assert!(stage.changed_readings().is_empty());
         bus.publish(reading(1.0, 11, 0, -80.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         let changed = stage.changed_readings();
         assert_eq!(changed.len(), 1);
         assert_eq!(changed[0].0, TagId::first(11));
@@ -378,20 +392,20 @@ mod tests {
         let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
         let bus_readers = vec![Point2::new(-1.0, -1.0), Point2::new(2.0, 2.0)];
         let mut bus = EventBus::with_capacity(16);
+        let mut token = bus.reader();
         let mut stage = MiddlewareStage::new(
             Middleware::new(SmoothingKind::Raw, false),
             grid,
             bus_readers,
-            bus.reader(),
         );
         // Tag 5 heard by reader 0 only: no complete reading vector yet.
         bus.publish(reading(0.0, 5, 0, -70.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         assert!(stage.changed_readings().is_empty());
         assert_eq!(stage.pending_tracking(), 1);
         // Reader 1 decodes it -> the reading completes and drains.
         bus.publish(reading(1.0, 5, 1, -72.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         let changed = stage.changed_readings();
         assert_eq!(changed.len(), 1);
         assert_eq!(changed[0].1.rssi(), &[-70.0, -72.0]);
@@ -400,11 +414,11 @@ mod tests {
 
     #[test]
     fn take_dirty_cells_reports_each_bit_changed_cell_once() {
-        let (mut stage, mut bus) = stage_and_bus();
+        let (mut stage, mut bus, mut token) = stage_and_bus();
         for n in 0..4u32 {
             bus.publish(reading(0.0, n, 0, -70.0 - n as f64));
         }
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         assert!(stage.reference_map().is_some());
         assert!(
             stage.take_dirty_cells().is_empty(),
@@ -416,7 +430,7 @@ mod tests {
         bus.publish(reading(1.0, 0, 0, -90.0));
         bus.publish(reading(2.0, 0, 0, -91.0));
         bus.publish(reading(2.0, 1, 0, -75.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         let dirty = stage.take_dirty_cells();
         assert_eq!(dirty.len(), 2);
         assert!(dirty.contains(&(0, GridIndex::new(0, 0))));
@@ -427,7 +441,7 @@ mod tests {
         assert!(stage.take_dirty_cells().is_empty(), "drained");
         // Re-publishing the identical value dirties nothing.
         bus.publish(reading(3.0, 0, 0, -91.0));
-        stage.pump(&bus);
+        stage.pump(&bus, &mut token);
         assert!(stage.take_dirty_cells().is_empty());
     }
 
@@ -435,19 +449,18 @@ mod tests {
     fn lag_is_recorded_not_fatal() {
         let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
         let mut bus = EventBus::with_capacity(2);
+        let mut token = bus.reader();
         let mut stage = MiddlewareStage::new(
             Middleware::new(SmoothingKind::Raw, false),
             grid,
             vec![Point2::new(-1.0, -1.0)],
-            bus.reader(),
         );
         for n in 0..5 {
             bus.publish(reading(n as f64, 10, 0, -70.0 - n as f64));
         }
-        let stats = stage.pump(&bus);
+        let stats = stage.pump(&bus, &mut token);
         assert_eq!(stats.lagged, 3);
         assert_eq!(stats.events, 2);
-        assert_eq!(stage.lagged_total(), 3);
         // The survivors were still applied.
         assert_eq!(
             stage.middleware().rssi(TagId::first(10), ReaderId(0)),

@@ -1,11 +1,12 @@
-//! The serving front end: wire-format ingest, burst coalescing, and
+//! The serving front end: wire-format ingest, per-reading smoothing, and
 //! non-blocking location queries over one localization pipeline.
 //!
 //! [`IngestServer`] is the deployment-facing assembly of the streaming
-//! stack. Beacon bursts enter through a [`vire_core::IngestFrontEnd`]
-//! (raw events or trace-schema JSON), ride a resizable coalescing ring,
-//! and are drained in batches into the classic pipeline — reading bus →
-//! [`MiddlewareStage`] → [`vire_core::LocationService::drive`]. Between
+//! stack. Accepted beacon events (raw, or trace-schema JSON) go straight
+//! into the [`MiddlewareStage`]'s per-`(tag, reader)` smoothing table, one
+//! reading at a time and in arrival order; [`IngestServer::drive`] then
+//! hands the stage to [`vire_core::LocationService::drive`], which
+//! localizes exactly the tags whose smoothed readings changed. Between
 //! drives, [`IngestServer::query`] answers position questions from the
 //! per-tag Kalman state in O(1) without touching (or blocking) ingestion.
 //!
@@ -13,18 +14,16 @@
 //! ([`Trace::infer_deployment`]), so a captured trace file is all it
 //! takes to stand one up — no testbed required.
 //!
-//! ## Loss accounting
+//! ## Lossless by construction
 //!
-//! Overload never loses readings silently. The front end's ring grows
-//! (amortized doubling) while any consumer is keeping up; past its
-//! ceiling, the configured [`vire_bus::BackPressure`] policy coalesces
-//! per-`(tag, reader)` runs down to the newest reading, and every
-//! superseded or dropped event lands in the [`DriveReport`] counters:
-//! `delivered + lagged + coalesced` always equals the events accepted.
-//! Coalescing is also *harmless* by construction: the smoothing window
-//! and the Kalman fold only ever see the newest reading per key, so a
-//! coalesced drive is bit-identical to replaying only the surviving
-//! readings (pinned by `tests/ingest.rs`).
+//! Nothing between `accept` and the smoothing filters can merge, drop or
+//! reorder a reading, so the served smoothing state is a function of the
+//! reading sequence alone: however a stream is cut into `accept` calls
+//! and drives, every filter ends up `f64::to_bits`-identical to feeding
+//! the readings one at a time through a plain [`Middleware`] (pinned by
+//! `tests/ingest.rs`). A windowed filter such as the default five-reading
+//! median must see every reading: fed fewer, its window stretches across
+//! batches and the fix lags a moving tag (DESIGN.md §15).
 
 use crate::middleware::{Middleware, Reading};
 use crate::pipeline::MiddlewareStage;
@@ -32,52 +31,42 @@ use crate::reader::ReaderId;
 use crate::smoothing::SmoothingKind;
 use crate::tag::TagId;
 use crate::trace::{Trace, TraceError};
-use vire_bus::{BackPressure, EventBus};
 use vire_core::{
-    BeaconEvent, IngestConfig, IngestFrontEnd, IngestStats, LocalizeError, Localizer,
-    LocationQuery, LocationService, QueryResponse, ServiceConfig, TagKey, TrackedEstimate,
-    WireError,
+    parse_wire, BeaconEvent, IngestConfig, IngestStats, LocalizeError, Localizer, LocationQuery,
+    LocationService, QueryResponse, ServiceConfig, TagKey, TrackedEstimate, WireError,
 };
 
 /// Configuration for [`IngestServer`].
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
-    /// Front-end ring shape and back-pressure ceiling.
+    /// Shape of the staging buffers a transport parks readings in ahead
+    /// of the server (the network fabric's per-zone buffers).
     pub ingest: IngestConfig,
     /// Location service tuning (stale horizon, tracker, …).
     pub service: ServiceConfig,
-    /// Middleware smoothing policy applied to drained readings.
+    /// Middleware smoothing policy applied to every accepted reading.
     pub smoothing: SmoothingKind,
 }
 
 /// What one [`IngestServer::drive`] call consumed and produced.
 #[derive(Debug, Clone, Default)]
 pub struct DriveReport {
-    /// Readings delivered into the pipeline this drive.
+    /// Readings smoothed since the previous drive.
     pub delivered: usize,
-    /// Readings hard-dropped by the front end since the last drive
-    /// (ceiling reached under the `DropOldest` policy).
-    pub lagged: u64,
-    /// Readings superseded by a newer same-`(tag, reader)` reading —
-    /// ring-policy and batch-dedup coalescing combined.
-    pub coalesced: u64,
     /// Localization results for the tags whose smoothed readings changed,
     /// in first-dirtied order.
     pub results: Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>,
 }
 
-/// A serving pipeline: ingest front end + bus + middleware stage +
-/// location service. See the [module docs](self).
+/// A serving pipeline: middleware stage + location service. See the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct IngestServer<L: Localizer> {
-    front: IngestFrontEnd,
-    bus: EventBus<Reading>,
     stage: MiddlewareStage,
     service: LocationService<L>,
-    /// Internal-bus events lost between drain and pump. Structurally zero
-    /// (one drained batch always fits the bus ceiling); surfaced so the
-    /// oracle tests can assert it rather than trust it.
-    internal_lag: u64,
+    stats: IngestStats,
+    /// Readings smoothed since the previous drive.
+    since_drive: usize,
 }
 
 impl<L: Localizer> IngestServer<L> {
@@ -85,77 +74,64 @@ impl<L: Localizer> IngestServer<L> {
     /// readings are *not* ingested — the trace supplies geometry only;
     /// feed readings through [`IngestServer::accept`] /
     /// [`IngestServer::accept_json`]).
-    ///
-    /// # Panics
-    /// Panics on a degenerate `config.ingest` ring shape (zero capacity
-    /// or ceiling below the initial capacity).
     pub fn from_trace(
         trace: &Trace,
         localizer: L,
         config: ServeConfig,
     ) -> Result<Self, TraceError> {
         let (grid, nodes) = trace.infer_deployment()?;
-        let front = IngestFrontEnd::new(config.ingest);
-        // The internal reading bus only ever buffers one drained batch
-        // between publish and pump, and a batch never exceeds the front
-        // ring's ceiling — so with the same ceiling nothing can lag.
-        let bus = EventBus::resizable(
-            config.ingest.initial_capacity,
-            config.ingest.max_capacity,
-            BackPressure::DropOldest,
-        );
         let mut stage = MiddlewareStage::new(
             Middleware::new(config.smoothing, false),
             grid,
             trace.reader_positions(),
-            bus.reader(),
         );
         for (slot, idx) in nodes {
             stage.pin_reference(idx, TagId::first(slot));
         }
         Ok(IngestServer {
-            front,
-            bus,
             stage,
             service: LocationService::new(localizer, config.service),
-            internal_lag: 0,
+            stats: IngestStats::default(),
+            since_drive: 0,
         })
     }
 
-    /// Queues a burst of raw beacon events. Returns how many were
-    /// accepted (reference and tracking beacons alike).
+    /// Smooths a burst of raw beacon events, in order, into the
+    /// per-`(tag, reader)` filters. Returns how many were accepted
+    /// (reference and tracking beacons alike). Events must be finite —
+    /// transports check them with [`vire_core::validate_event`].
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
-        self.front.accept(events)
-    }
-
-    /// Queues a burst from trace-schema JSON (wire v1 or v2): either a
-    /// bare array of readings or a `{"version": …, "readings": […]}`
-    /// envelope.
-    pub fn accept_json(&mut self, json: &str) -> Result<usize, WireError> {
-        self.front.accept_json(json)
-    }
-
-    /// Drains everything queued since the last drive through the
-    /// pipeline: smoothing, calibration-map patching, and localization of
-    /// exactly the tags whose smoothed readings changed.
-    pub fn drive(&mut self) -> DriveReport {
-        let batch = self.front.drain();
-        for &e in &batch.readings {
-            self.bus.publish(Reading {
+        let mut n = 0;
+        for e in events {
+            self.stage.ingest(Reading {
                 time: e.time,
                 tag: TagId::new(e.tag.index, e.tag.generation),
                 reader: ReaderId(e.reader),
                 rssi: e.rssi,
             });
+            n += 1;
         }
-        let pumped = self.stage.pump(&self.bus);
-        self.internal_lag += pumped.lagged;
-        let results = self.service.drive(&mut self.stage);
+        self.since_drive += n;
+        self.stats.accepted += n as u64;
+        self.stats.delivered += n as u64;
+        n
+    }
+
+    /// Accepts a burst from trace-schema JSON (wire v1 or v2): either a
+    /// bare array of readings or a `{"version": …, "readings": […]}`
+    /// envelope. A rejected payload accepts nothing.
+    pub fn accept_json(&mut self, json: &str) -> Result<usize, WireError> {
+        Ok(self.accept(parse_wire(json)?))
+    }
+
+    /// Localizes exactly the tags whose smoothed readings changed since
+    /// the previous drive, after patching the calibration map's changed
+    /// cells.
+    pub fn drive(&mut self) -> DriveReport {
+        self.stats.batches += 1;
         DriveReport {
-            delivered: batch.readings.len(),
-            lagged: batch.lagged,
-            coalesced: batch.coalesced_in_ring + batch.coalesced_in_batch,
-            results,
+            delivered: std::mem::take(&mut self.since_drive),
+            results: self.service.drive(&mut self.stage),
         }
     }
 
@@ -167,29 +143,11 @@ impl<L: Localizer> IngestServer<L> {
         self.service.query(q)
     }
 
-    /// Cumulative front-end accounting since construction.
+    /// Cumulative accounting since construction: every accepted reading
+    /// is delivered to smoothing at once (`accepted == delivered`), and
+    /// `batches` counts drives.
     pub fn ingest_stats(&self) -> IngestStats {
-        self.front.stats()
-    }
-
-    /// Current front-end ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.front.capacity()
-    }
-
-    /// Front-end ring capacity ceiling.
-    pub fn front_max_capacity(&self) -> usize {
-        self.front.max_capacity()
-    }
-
-    /// How many times the front-end ring has doubled.
-    pub fn grown(&self) -> u64 {
-        self.front.grown()
-    }
-
-    /// Internal-bus events lost between drain and pump — structurally 0.
-    pub fn internal_lag(&self) -> u64 {
-        self.internal_lag
+        self.stats
     }
 
     /// The location service (for estimate export and tuning inspection).
@@ -197,7 +155,12 @@ impl<L: Localizer> IngestServer<L> {
         &self.service
     }
 
-    /// The middleware stage (for map export in tests and tools).
+    /// The middleware stage (smoothing table and dirty state).
+    pub fn stage(&self) -> &MiddlewareStage {
+        &self.stage
+    }
+
+    /// The middleware stage, mutably (for map export in tests and tools).
     pub fn stage_mut(&mut self) -> &mut MiddlewareStage {
         &mut self.stage
     }

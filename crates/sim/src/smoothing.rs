@@ -99,8 +99,11 @@ impl SmoothingKind {
                 if n == 0 {
                     return Err(SmoothingError::ZeroWindow);
                 }
+                let mut buf = Vec::with_capacity(2 * n);
+                buf.resize(n, 0.0);
                 Ok(Filter::Median {
-                    window: VecDeque::with_capacity(n),
+                    buf,
+                    oldest: 0,
                     cap: n,
                 })
             }
@@ -141,23 +144,67 @@ pub enum Filter {
     },
     /// See [`SmoothingKind::Median`].
     Median {
-        /// Sliding window.
-        window: VecDeque<f64>,
+        /// One allocation of `2 * cap` values: `buf[..cap]` is the window
+        /// ring (only the first `fill` slots are live while it fills) and
+        /// `buf[cap..]` holds the window's values in ascending order,
+        /// equal values (`-0.0` and `0.0` included) in arrival order —
+        /// exactly what a stable sort of the window yields, kept up to
+        /// date incrementally.
+        buf: Vec<f64>,
+        /// Ring index of the oldest reading once the window is full.
+        oldest: usize,
         /// Window capacity.
         cap: usize,
     },
 }
 
 impl Filter {
-    /// Feeds one raw reading.
+    /// Feeds one raw reading. Allocation-free: window filters recycle
+    /// their buffers, and the median keeps its window sorted as it slides
+    /// instead of sorting a copy per [`Filter::value`].
+    ///
+    /// Readings must be finite (transports reject the rest); a NaN never
+    /// panics, but leaves the median's order unspecified.
     pub fn update(&mut self, x: f64) {
         match self {
             Filter::Raw { last } => *last = Some(x),
-            Filter::MovingAverage { window, cap } | Filter::Median { window, cap } => {
+            Filter::MovingAverage { window, cap } => {
                 if window.len() == *cap {
                     window.pop_front();
                 }
                 window.push_back(x);
+            }
+            Filter::Median { buf, oldest, cap } => {
+                let cap = *cap;
+                if buf.len() < 2 * cap {
+                    let fill = buf.len() - cap;
+                    buf[fill] = x;
+                    // After every value comparing <= x: the newest of
+                    // equal values goes last, as a stable sort places it.
+                    let at = buf[cap..].partition_point(|v| *v <= x);
+                    buf.insert(cap + at, x);
+                } else {
+                    let gone = std::mem::replace(&mut buf[*oldest], x);
+                    *oldest = (*oldest + 1) % cap;
+                    let sorted = &mut buf[cap..];
+                    // Equal values sit in arrival order and `gone` was the
+                    // window's first arrival, so its entry is the first
+                    // one with its bits. Overwrite it with `x` and slide
+                    // `x` to its stable-sort place in one pass.
+                    let mut i = sorted
+                        .iter()
+                        .position(|v| v.to_bits() == gone.to_bits())
+                        .expect("every window value is in the sorted half");
+                    while i + 1 < sorted.len() && sorted[i + 1] <= x {
+                        sorted[i] = sorted[i + 1];
+                        i += 1;
+                    }
+                    while i > 0 && sorted[i - 1] > x {
+                        sorted[i] = sorted[i - 1];
+                        i -= 1;
+                    }
+                    sorted[i] = x;
+                }
             }
             Filter::Ewma { alpha, state } => {
                 *state = Some(match *state {
@@ -168,7 +215,8 @@ impl Filter {
         }
     }
 
-    /// Current smoothed value, or `None` before the first reading.
+    /// Current smoothed value, or `None` before the first reading. O(1)
+    /// for the median, whose window is kept sorted.
     pub fn value(&self) -> Option<f64> {
         match self {
             Filter::Raw { last } => *last,
@@ -180,18 +228,14 @@ impl Filter {
                     Some(window.iter().sum::<f64>() / window.len() as f64)
                 }
             }
-            Filter::Median { window, .. } => {
-                if window.is_empty() {
-                    return None;
-                }
-                let mut sorted: Vec<f64> = window.iter().copied().collect();
-                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            Filter::Median { buf, cap, .. } => {
+                let sorted = &buf[*cap..];
                 let mid = sorted.len() / 2;
-                Some(if sorted.len() % 2 == 1 {
-                    sorted[mid]
-                } else {
-                    (sorted[mid - 1] + sorted[mid]) / 2.0
-                })
+                match sorted.len() {
+                    0 => None,
+                    n if n % 2 == 1 => Some(sorted[mid]),
+                    _ => Some((sorted[mid - 1] + sorted[mid]) / 2.0),
+                }
             }
         }
     }
@@ -202,7 +246,8 @@ impl Filter {
         match self {
             Filter::Raw { last } => usize::from(last.is_some()),
             Filter::Ewma { state, .. } => usize::from(state.is_some()),
-            Filter::MovingAverage { window, .. } | Filter::Median { window, .. } => window.len(),
+            Filter::MovingAverage { window, .. } => window.len(),
+            Filter::Median { buf, cap, .. } => buf.len() - cap,
         }
     }
 }

@@ -1,12 +1,18 @@
-//! The serving-pipeline acceptance pin: driving a capture through the
-//! burst-coalescing [`vire_sim::IngestServer`] — constrained ring, forced
-//! growth, forced back-pressure coalescing — produces `f64::to_bits`
-//! **identical** localization to replaying only the surviving readings
-//! through a plain bus → stage → service pipeline, across all four
-//! interpolation kernels. Coalescing may drop superseded beacons; it must
-//! never change a number.
+//! The serving-pipeline acceptance pins.
+//!
+//! **Batching invariance:** the served smoothing state is a function of
+//! the reading sequence alone. However a capture is cut into
+//! [`IngestServer::accept`] calls — with drives after some chunks and
+//! skipped after others — every `(tag, reader)` smoothed value and every
+//! tracking tag's reading vector stays `f64::to_bits`-identical to
+//! feeding each reading one at a time through a plain [`Middleware`].
+//!
+//! **Estimates:** with one drive per chunk, the served localization is
+//! bit-identical to a plain bus → stage → service pipeline fed every
+//! reading, across all four interpolation kernels.
 
-use std::collections::HashMap;
+use proptest::prelude::*;
+use std::sync::OnceLock;
 use vire_core::{
     BeaconEvent, InterpolationKernel, LocalizeError, LocationQuery, LocationService, QueryResponse,
     ServiceConfig, TagKey, TrackedEstimate, Vire, VireConfig,
@@ -14,8 +20,8 @@ use vire_core::{
 use vire_geom::Point2;
 use vire_sim::trace::TraceReading;
 use vire_sim::{
-    EventBus, IngestServer, Middleware, MiddlewareStage, ServeConfig, SmoothingKind, TagId,
-    Testbed, TestbedConfig, Trace,
+    EventBus, IngestServer, Middleware, MiddlewareStage, ReaderId, ServeConfig, SmoothingKind,
+    TagId, Testbed, TestbedConfig, Trace,
 };
 
 type DriveResult = Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>;
@@ -40,6 +46,12 @@ fn capture() -> Trace {
     tb.export_trace("ingest oracle capture")
 }
 
+/// [`capture`], simulated once for the whole property run.
+fn shared_capture() -> &'static Trace {
+    static TRACE: OnceLock<Trace> = OnceLock::new();
+    TRACE.get_or_init(capture)
+}
+
 fn to_beacon(r: &TraceReading) -> BeaconEvent {
     BeaconEvent {
         time: r.time,
@@ -47,20 +59,6 @@ fn to_beacon(r: &TraceReading) -> BeaconEvent {
         reader: r.reader,
         rssi: r.rssi,
     }
-}
-
-/// Independent re-statement of the front end's coalescing contract:
-/// newest reading per `(tag lifetime, reader)`, in last-occurrence order.
-fn surviving(chunk: &[TraceReading]) -> Vec<TraceReading> {
-    let mut latest: HashMap<(u32, u32, u32), usize> = HashMap::new();
-    let mut keep: Vec<Option<TraceReading>> = Vec::with_capacity(chunk.len());
-    for &r in chunk {
-        if let Some(prev) = latest.insert((r.tag, r.generation, r.reader), keep.len()) {
-            keep[prev] = None;
-        }
-        keep.push(Some(r));
-    }
-    keep.into_iter().flatten().collect()
 }
 
 fn bits(results: &DriveResult) -> Vec<(TagKey, Result<Vec<u64>, String>)> {
@@ -85,39 +83,94 @@ fn bits(results: &DriveResult) -> Vec<(TagKey, Result<Vec<u64>, String>)> {
         .collect()
 }
 
+/// Every `(tag, reader)` smoothed value and every tracking tag's reading
+/// vector, as bits — the state a drive reads.
+fn smoothing_bits(mw: &Middleware, trace: &Trace) -> Vec<Option<u64>> {
+    let readers = trace.readers.len();
+    let references = trace.reference_tags.len() as u32;
+    let mut out = Vec::new();
+    for slot in 0..=references {
+        let tag = TagId::first(slot);
+        for k in 0..readers {
+            out.push(mw.rssi(tag, ReaderId(k as u32)).map(f64::to_bits));
+        }
+        if slot == references {
+            // Slot 16 is the tracking tag.
+            out.extend(mw.tracking_reading(tag, readers).map_or(vec![None], |r| {
+                r.rssi().iter().map(|v| Some(v.to_bits())).collect()
+            }));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Arbitrary chunkings, with drives skipped between arbitrary chunks:
+    /// after every chunk the served smoothing state equals a plain
+    /// middleware fed the same prefix one reading at a time.
+    #[test]
+    fn served_smoothing_is_invariant_to_batching(
+        sizes in prop::collection::vec(1usize..400, 1..24),
+        drive_after in prop::collection::vec(any::<bool>(), 1..24),
+    ) {
+        let trace = shared_capture();
+        let mut server = IngestServer::from_trace(
+            trace,
+            vire(InterpolationKernel::Linear),
+            ServeConfig::default(),
+        )
+        .expect("paper testbed trace infers its own deployment");
+        let mut plain = Middleware::new(SmoothingKind::default(), false);
+
+        let mut at = 0;
+        let mut schedule = sizes.iter().cycle().zip(drive_after.iter().cycle());
+        let mut undriven = 0;
+        while at < trace.readings.len() {
+            let (&size, &drive) = schedule.next().expect("cycled");
+            let chunk = &trace.readings[at..(at + size).min(trace.readings.len())];
+            at += chunk.len();
+            prop_assert_eq!(server.accept(chunk.iter().map(to_beacon)), chunk.len());
+            undriven += chunk.len();
+            for r in chunk {
+                plain.ingest((*r).into());
+            }
+            if drive {
+                prop_assert_eq!(server.drive().delivered, undriven);
+                undriven = 0;
+            }
+            prop_assert_eq!(
+                smoothing_bits(server.stage().middleware(), trace),
+                smoothing_bits(&plain, trace)
+            );
+        }
+        let stats = server.ingest_stats();
+        prop_assert_eq!(stats.accepted, trace.readings.len() as u64);
+        prop_assert_eq!(stats.delivered, stats.accepted);
+    }
+}
+
 #[test]
-fn coalesced_ingest_is_bit_identical_to_replaying_survivors() {
-    let trace = capture();
+fn one_drive_per_chunk_matches_a_reading_by_reading_pipeline_all_kernels() {
+    let trace = shared_capture();
     assert!(trace.readings.len() > 1000, "capture too small to stress");
-    // Bursts of ~5 beacon rounds: several same-key duplicates per chunk,
-    // and far more events than the ring ceiling below.
+    // Bursts of ~5 beacon rounds: several readings per key per chunk.
     let chunks: Vec<&[TraceReading]> = trace.readings.chunks(340).collect();
 
     for kernel in InterpolationKernel::ALL {
-        // Serving arm: tiny ring forced to grow 8 → 128, then coalesce.
-        let mut server = IngestServer::from_trace(
-            &trace,
-            vire(kernel),
-            ServeConfig {
-                ingest: vire_core::IngestConfig {
-                    initial_capacity: 8,
-                    max_capacity: 128,
-                    coalesce: true,
-                },
-                ..ServeConfig::default()
-            },
-        )
-        .expect("paper testbed trace infers its own deployment");
+        let mut server = IngestServer::from_trace(trace, vire(kernel), ServeConfig::default())
+            .expect("paper testbed trace infers its own deployment");
 
-        // Oracle arm: a plain pipeline with a ring big enough to never
-        // coalesce or drop, fed only the surviving readings.
+        // Oracle arm: a plain pipeline fed every reading through a bus
+        // big enough to never lag.
         let (grid, nodes) = trace.infer_deployment().unwrap();
         let mut bus = EventBus::with_capacity(8192);
+        let mut token = bus.reader();
         let mut stage = MiddlewareStage::new(
             Middleware::new(SmoothingKind::default(), false),
             grid,
             trace.reader_positions(),
-            bus.reader(),
         );
         for (slot, idx) in nodes {
             stage.pin_reference(idx, TagId::first(slot));
@@ -125,49 +178,25 @@ fn coalesced_ingest_is_bit_identical_to_replaying_survivors() {
         let mut oracle = LocationService::new(vire(kernel), ServiceConfig::default());
 
         for chunk in &chunks {
-            let accepted = server.accept(chunk.iter().map(to_beacon));
-            assert_eq!(accepted, chunk.len());
+            assert_eq!(server.accept(chunk.iter().map(to_beacon)), chunk.len());
             let report = server.drive();
-            assert_eq!(report.lagged, 0, "coalescing must prevent hard drops");
+            assert_eq!(report.delivered, chunk.len(), "every reading is smoothed");
 
-            let survivors = surviving(chunk);
-            assert_eq!(
-                report.delivered,
-                survivors.len(),
-                "front end must deliver exactly the surviving readings"
-            );
-            assert_eq!(
-                report.coalesced,
-                (chunk.len() - survivors.len()) as u64,
-                "every superseded reading must be counted"
-            );
-            for s in survivors {
-                bus.publish(s.into());
+            for &r in *chunk {
+                bus.publish(r.into());
             }
-            stage.pump(&bus);
+            assert_eq!(stage.pump(&bus, &mut token).lagged, 0);
             let expect = oracle.drive(&mut stage);
             assert_eq!(
                 bits(&report.results),
                 bits(&expect),
-                "kernel {kernel:?}: coalesced drive diverged from survivor replay"
+                "kernel {kernel:?}: served drive diverged from the reading-by-reading pipeline"
             );
         }
-
-        // The constrained ring really was stressed: it grew to its
-        // ceiling and back-pressure coalescing fired.
-        assert!(server.grown() >= 4, "ring never grew: {}", server.grown());
         let stats = server.ingest_stats();
-        assert!(
-            stats.coalesced_in_ring > 0,
-            "ring back-pressure never coalesced"
-        );
-        assert_eq!(stats.lagged, 0);
-        assert_eq!(server.internal_lag(), 0);
-        assert_eq!(
-            stats.accepted,
-            stats.delivered + stats.lagged + stats.coalesced_in_ring,
-            "ingest accounting must balance"
-        );
+        assert_eq!(stats.accepted, trace.readings.len() as u64);
+        assert_eq!(stats.delivered, stats.accepted);
+        assert_eq!(stats.batches, chunks.len() as u64);
     }
 }
 
@@ -185,8 +214,7 @@ fn server_answers_queries_between_drives() {
     let mut last_time = 0.0f64;
     for chunk in trace.readings.chunks(500) {
         server.accept(chunk.iter().map(to_beacon));
-        let report = server.drive();
-        assert!(report.lagged == 0);
+        server.drive();
         last_time = chunk.last().unwrap().time;
     }
     match server.query(LocationQuery {
@@ -220,11 +248,15 @@ fn server_ingests_trace_json_wholesale() {
     let accepted = server.accept_json(&trace.to_json()).unwrap();
     assert_eq!(accepted, trace.readings.len());
     let report = server.drive();
-    assert!(report.delivered > 0);
-    assert_eq!(
-        report.delivered as u64 + report.lagged + report.coalesced,
-        accepted as u64
-    );
+    assert_eq!(report.delivered, accepted);
+    // One payload holds ~20 readings per key, and every one of them went
+    // through smoothing: each reference stream's median window is full.
+    let mw = server.stage().middleware();
+    for (slot, _) in &trace.reference_tags {
+        for k in 0..trace.readers.len() {
+            assert_eq!(mw.fill(TagId::first(*slot), ReaderId(k as u32)), 5);
+        }
+    }
 }
 
 /// The core crate's wire-format constants mirror the sim crate's trace

@@ -100,3 +100,49 @@ proptest! {
         }
     }
 }
+
+/// The sort-based median the incremental filter replaced: copy the
+/// window, stable-sort it by `partial_cmp`, take the middle (or the mean
+/// of the middle two).
+fn sorted_copy_median(window: &[f64]) -> f64 {
+    let mut sorted = window.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
+}
+
+/// Readings drawn mostly from a tiny pool — so windows hold duplicates
+/// and both signed zeros — mixed with arbitrary RSSI-range values.
+fn median_feed() -> impl Strategy<Value = Vec<f64>> {
+    const POOL: [f64; 7] = [-0.0, 0.0, -70.0, -70.5, -71.0, -90.0, 3.25];
+    let reading =
+        (0usize..10, -110.0..10.0f64).prop_map(|(k, x)| POOL.get(k).copied().unwrap_or(x));
+    prop::collection::vec(reading, 1..60)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The incrementally sorted median window is `to_bits`-identical to
+    /// sorting a copy of the window at every step, for every window size
+    /// 1..=8 (odd and even), with duplicates and signed zeros.
+    #[test]
+    fn incremental_median_matches_sorted_copy(xs in median_feed(), n in 1usize..=8) {
+        let mut f = SmoothingKind::Median(n).build();
+        for (i, &x) in xs.iter().enumerate() {
+            f.update(x);
+            let window = &xs[(i + 1).saturating_sub(n)..=i];
+            let expect = sorted_copy_median(window);
+            let got = f.value().expect("primed after first update");
+            prop_assert_eq!(
+                got.to_bits(), expect.to_bits(),
+                "window {:?}: incremental {} != sorted copy {}", window, got, expect
+            );
+            prop_assert_eq!(f.fill(), window.len());
+        }
+    }
+}

@@ -10,10 +10,10 @@
 //! Figures: `fig2 fig3 fig4 fig5 fig6 fig7 fig8 ablations`, plus the
 //! multi-zone `campus` and tag-`churn` extensions.
 //!
-//! `serve` stands up the burst-coalescing serving pipeline
-//! ([`vire::sim::IngestServer`]) from a trace file (or a freshly captured
-//! demo trace), replays the readings in bursts, and reports the loss
-//! accounting plus a final location query per tracking tag. With
+//! `serve` stands up the serving pipeline ([`vire::sim::IngestServer`])
+//! from a trace file (or a freshly captured demo trace), replays the
+//! readings in bursts — every reading smoothed, none merged — and reports
+//! the ingest accounting plus a final location query per tracking tag. With
 //! `--listen ADDR` it instead binds the TCP serving fabric
 //! ([`vire::net::NetServer`]) on ADDR — gateways stream framed beacon
 //! batches and location queries until `Ctrl-C`, which drains in-flight
@@ -282,8 +282,8 @@ fn run_listen(seeds: &[u64], trace_path: Option<&str>, addr: &str) -> Result<(),
     println!("final {stats}");
     if stats.balanced() {
         println!(
-            "accounting balanced: accepted {} == delivered {} + lagged {} + coalesced {}",
-            stats.accepted, stats.delivered, stats.lagged, stats.coalesced
+            "accounting balanced: accepted {} == delivered {} (every reading smoothed)",
+            stats.accepted, stats.delivered
         );
         Ok(())
     } else {
@@ -333,17 +333,8 @@ fn run_serve(seeds: &[u64], trace_path: Option<&str>, json: bool) -> Result<(), 
     let now = trace.readings.last().map(|r| r.time).unwrap_or(0.0);
     println!("serve: \"{}\"", trace.description);
     println!(
-        "  {} readings in {} bursts -> {} delivered, {} coalesced, {} dropped \
-         (ring {} / ceiling {}, grew {}x), {} localizations",
-        stats.accepted,
-        drives,
-        stats.delivered - stats.coalesced_in_batch,
-        stats.coalesced_in_ring + stats.coalesced_in_batch,
-        stats.lagged,
-        server.capacity(),
-        server.front_max_capacity(),
-        server.grown(),
-        localized,
+        "  {} readings in {} bursts -> {} smoothed, {} localizations",
+        stats.accepted, drives, stats.delivered, localized,
     );
     for &tag in &tracking {
         match server.query(LocationQuery { tag, at: now }) {
@@ -362,13 +353,10 @@ fn run_serve(seeds: &[u64], trace_path: Option<&str>, json: bool) -> Result<(), 
     }
     if json {
         println!(
-            "{{\"accepted\": {}, \"delivered\": {}, \"coalesced\": {}, \"lagged\": {}, \
-             \"grown\": {}, \"drives\": {}, \"localized\": {}, \"tracking_tags\": {}}}",
+            "{{\"accepted\": {}, \"delivered\": {}, \"drives\": {}, \"localized\": {}, \
+             \"tracking_tags\": {}}}",
             stats.accepted,
-            stats.delivered - stats.coalesced_in_batch,
-            stats.coalesced_in_ring + stats.coalesced_in_batch,
-            stats.lagged,
-            server.grown(),
+            stats.delivered,
             drives,
             localized,
             tracking.len(),
@@ -423,8 +411,8 @@ fn main() -> ExitCode {
             println!(
                 "         vire-repro serve [--trace FILE] [--seeds SPEC] [--json] [--listen ADDR]"
             );
-            println!("serve:   replays FILE (or a fresh demo capture) through the burst-");
-            println!("         coalescing ingest server and reports loss accounting + queries.");
+            println!("serve:   replays FILE (or a fresh demo capture) through the ingest");
+            println!("         server, smoothing every reading, and reports accounting + queries.");
             println!("         --listen ADDR binds the TCP serving fabric instead: gateways");
             println!("         stream framed batches/queries until Ctrl-C drains and stops.");
             println!("seeds:   SPEC is a count `N` (seeds 1..=N), an inclusive range `A..B`,");
