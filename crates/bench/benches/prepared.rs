@@ -2,7 +2,8 @@
 //!
 //! The prepared API ([`Vire::prepare`]) interpolates the virtual grid once
 //! per calibration map and reuses a scratch arena across readings; the
-//! rebuild path pays the O(N²) interpolation plus per-probe allocations on
+//! rebuild path (one-shot [`Localizer::locate`], i.e. prepare + locate)
+//! pays the map copy, the O(N²) interpolation and the sorted planes on
 //! every call. This bench quantifies the gap at refine ∈ {5, 10, 20} and,
 //! in bench mode, writes a machine-readable summary to
 //! `target/prepared_vs_rebuild.json`.

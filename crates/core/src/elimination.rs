@@ -77,9 +77,9 @@ impl EliminationResult {
 }
 
 /// Reusable buffers for the zero-allocation elimination core. In steady
-/// state ([`crate::PreparedVire`] holds one per scratch arena) no heap
-/// allocation happens per reading: every vector retains its capacity
-/// between calls.
+/// state (each [`crate::VireScratch`] arena that [`crate::PreparedVire`]
+/// queries through holds one) no heap allocation happens per reading:
+/// every vector retains its capacity between calls.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ElimBuffers {
     /// Per-node largest gap over readers, `max_k |s_k(node) − θ_k|`. The
@@ -428,7 +428,7 @@ pub(crate) fn flatten_planes(grid: &VirtualGrid) -> Vec<f64> {
 /// Per-reader ascending-sorted copy of the flattened planes — the
 /// reading-independent search structure [`eliminate_into`] uses for its
 /// phase-1 starting point. [`crate::PreparedVire`] builds this once per
-/// calibration map.
+/// calibration map and repairs it in place when `sync` patches the map.
 pub(crate) fn sort_planes(planes: &[f64], k_readers: usize, nodes: usize) -> Vec<f64> {
     debug_assert_eq!(planes.len(), k_readers * nodes);
     let mut sorted = planes.to_vec();

@@ -1,22 +1,22 @@
-//! Persistent prepared localizers with dirty-cell patching.
+//! Keeping prepared state in sync with a moving calibration map: the
+//! [`OwnedPreparedLocalizer::sync`] contract, its [`SyncOutcome`], and
+//! dirty-cell discovery.
 //!
-//! [`crate::PreparedVire`] borrows its calibration map, so it cannot
-//! outlive one [`crate::service::LocationService::drive`] call — every
-//! snapshot re-interpolates the virtual grid and re-sorts the elimination
-//! planes even when a single calibration cell moved. This module provides
-//! the **owned** counterparts that survive across snapshots:
+//! [`PreparedVire`](crate::PreparedVire) and
+//! [`PreparedLandmarc`](crate::PreparedLandmarc) own a mirror of the map
+//! they were prepared against, so they outlive it and can follow later
+//! snapshots (their `sync` lives beside their fields in
+//! [`crate::prepared`]):
 //!
-//! * [`PreparedVireOwned`] — owns a mirror of the calibration map, the
-//!   [`VireState`](crate::prepared) planes, and a
-//!   [`GridPatcher`]. On
-//!   [`sync`](OwnedPreparedLocalizer::sync) it re-interpolates only the
-//!   kernel-support region of each changed cell, patches the flattened
-//!   reader-major planes in place, and repairs the sorted planes by a
-//!   chunked merge — producing state **bit-identical** to a from-scratch
-//!   prepare (pinned by property tests in `tests/incremental.rs`).
-//! * [`PreparedLandmarcOwned`] — the same lifecycle for the LANDMARC
-//!   baseline, where a dirty cell is an O(1) write into the reader-major
-//!   signal planes.
+//! * `PreparedVire` re-interpolates only the kernel-support region of
+//!   each changed cell (through its
+//!   [`GridPatcher`](crate::virtual_grid::GridPatcher)), patches the
+//!   flattened reader-major planes in place, and repairs the sorted
+//!   planes by a chunked merge — producing state **bit-identical** to a
+//!   from-scratch prepare (pinned by property tests in
+//!   `tests/incremental.rs`).
+//! * `PreparedLandmarc` follows the same lifecycle; a dirty cell is an
+//!   O(1) write into the reader-major signal planes.
 //!
 //! Sync resolves what changed in this order: an `(id, epoch)` match means
 //! *nothing* (reuse as-is); the map's change journal yields the exact
@@ -30,17 +30,9 @@
 //! sorted-plane merge dominates, so sync rebuilds instead (the two paths
 //! are bit-identical, so the cutover is invisible).
 
-use crate::landmarc::{Landmarc, LandmarcConfig};
-use crate::localizer::{Estimate, LocalizeError};
-use crate::prepared::{
-    landmarc_locate_core, landmarc_planes, with_landmarc_scratch, PreparedLocalizer, PreparedVire,
-    VireScratch, VireState,
-};
-use crate::sorted_vec;
-use crate::types::{ReferenceRssiMap, TrackingReading};
-use crate::vire_alg::{Vire, VireConfig};
-use crate::virtual_grid::GridPatcher;
-use vire_geom::{GridIndex, Point2};
+use crate::prepared::PreparedLocalizer;
+use crate::types::ReferenceRssiMap;
+use vire_geom::GridIndex;
 
 /// One changed calibration entry: `(reader, coarse lattice node)`.
 pub type DirtyCell = (usize, GridIndex);
@@ -63,6 +55,8 @@ pub enum SyncOutcome {
 /// `sync` must leave the state bit-identical to preparing against `refs`
 /// from scratch — callers (the service layer) choose freely between
 /// keeping an instance hot and re-preparing, and results never differ.
+/// A localizer whose state cannot be patched implements `sync` as a
+/// rebuild.
 pub trait OwnedPreparedLocalizer: PreparedLocalizer + Send {
     /// Brings the prepared state up to date with `refs`.
     ///
@@ -78,7 +72,7 @@ pub trait OwnedPreparedLocalizer: PreparedLocalizer + Send {
 /// Figures out which coarse cells differ between `mirror` (the owned copy
 /// synced at `synced_epoch` of map `source_id`) and `refs`, writing the
 /// deduplicated set into `out`. Every entry is a real bit-difference.
-fn discover_dirty(
+pub(crate) fn discover_dirty(
     mirror: &ReferenceRssiMap,
     refs: &ReferenceRssiMap,
     source_id: u64,
@@ -121,355 +115,14 @@ fn discover_dirty(
 
 /// Whether the two maps span the same lattice and reader set — the
 /// precondition for patching rather than rebuilding.
-fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
+pub(crate) fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
     a.grid() == b.grid() && a.readers() == b.readers()
-}
-
-/// VIRE prepared state that survives across snapshots.
-///
-/// Owns everything [`PreparedVire`] borrows: a mirror of the calibration
-/// map, the virtual grid, the flattened reader-major planes, the sorted
-/// planes, and the [`GridPatcher`] retaining the horizontal-pass
-/// intermediates. [`sync`](OwnedPreparedLocalizer::sync) patches all of
-/// them in place for small dirty sets.
-pub struct PreparedVireOwned {
-    state: VireState,
-    patcher: GridPatcher,
-    /// Owned mirror of the source map, bit-identical to it as of
-    /// (`source_id`, `synced_epoch`).
-    refs: ReferenceRssiMap,
-    source_id: u64,
-    synced_epoch: u64,
-    /// Per-reader plane-repair batches (old/new values) + merge scratch.
-    removed: Vec<Vec<f64>>,
-    inserted: Vec<Vec<f64>>,
-    survivors: Vec<f64>,
-    dirty_scratch: Vec<DirtyCell>,
-}
-
-impl PreparedVireOwned {
-    /// Builds the owned prepared state bound to `refs` (cloned into an
-    /// internal mirror). Errors when the configuration is degenerate
-    /// (`refine == 0`).
-    pub fn build(config: &VireConfig, refs: &ReferenceRssiMap) -> Result<Self, LocalizeError> {
-        let mirror = refs.clone();
-        let (state, patcher) = VireState::build_with_patcher(config, &mirror)?;
-        let k = mirror.reader_count();
-        Ok(PreparedVireOwned {
-            state,
-            patcher,
-            refs: mirror,
-            source_id: refs.id(),
-            synced_epoch: refs.epoch(),
-            removed: vec![Vec::new(); k],
-            inserted: vec![Vec::new(); k],
-            survivors: Vec::new(),
-            dirty_scratch: Vec::new(),
-        })
-    }
-
-    /// The flattened reader-major RSSI planes — for bit-identity tests.
-    pub fn planes(&self) -> &[f64] {
-        &self.state.planes
-    }
-
-    /// The per-reader sorted planes (empty under a fixed threshold) — for
-    /// bit-identity tests.
-    pub fn sorted_planes(&self) -> &[f64] {
-        &self.state.sorted
-    }
-
-    /// The cached virtual grid.
-    pub fn grid(&self) -> &crate::virtual_grid::VirtualGrid {
-        &self.state.grid
-    }
-
-    /// The owned mirror of the calibration map.
-    pub fn refs(&self) -> &ReferenceRssiMap {
-        &self.refs
-    }
-
-    /// Localizes through an explicit scratch arena (see
-    /// [`PreparedVire::locate_with_scratch`]).
-    pub fn locate_with_scratch(
-        &self,
-        reading: &TrackingReading,
-        scratch: &mut VireScratch,
-    ) -> Result<Estimate, LocalizeError> {
-        self.state
-            .locate_core(&self.refs, reading, scratch)
-            .map(|(est, _)| est)
-    }
-
-    /// Applies `new_values` for the given dirty cells and patches the
-    /// prepared state in place — **always** the patch path, regardless of
-    /// batch size (the [`sync`](OwnedPreparedLocalizer::sync) entry point
-    /// adds the rebuild heuristic on top). `dirty` pairs with bit-new
-    /// values already written into the internal mirror by the caller via
-    /// [`Self::set_mirror_rssi`], or more commonly arrives from `sync`.
-    ///
-    /// After the call, `planes`, `sorted_planes`, and the virtual grid are
-    /// bit-identical to a from-scratch prepare against the mirror.
-    pub fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
-        let k_readers = self.refs.reader_count();
-        let nodes = self.state.grid.tag_count();
-        for batch in self.removed.iter_mut().chain(self.inserted.iter_mut()) {
-            batch.clear();
-        }
-        let VireState {
-            grid,
-            planes,
-            sorted,
-            ..
-        } = &mut self.state;
-        let removed = &mut self.removed;
-        let inserted = &mut self.inserted;
-        self.patcher
-            .patch(grid, &self.refs, dirty, |k, flat, old, new| {
-                planes[k * nodes + flat] = new;
-                removed[k].push(old);
-                inserted[k].push(new);
-            });
-        if sorted.is_empty() {
-            return; // Fixed threshold: no sorted planes to repair.
-        }
-        for k in 0..k_readers {
-            if removed[k].is_empty() {
-                continue;
-            }
-            let segment = &mut sorted[k * nodes..(k + 1) * nodes];
-            if removed[k].len() <= 8 {
-                // Few moves: per-entry rotate is cheaper than a merge.
-                for (&old, &new) in removed[k].iter().zip(&inserted[k]) {
-                    let hit = sorted_vec::replace(segment, old, new);
-                    debug_assert!(hit, "stale sorted plane");
-                }
-            } else {
-                sorted_vec::merge_replace(
-                    segment,
-                    &mut removed[k],
-                    &mut inserted[k],
-                    &mut self.survivors,
-                );
-            }
-        }
-    }
-
-    /// Writes one mirror cell (testing hook for driving [`Self::apply_dirty`]
-    /// directly). Returns whether the bits changed.
-    pub fn set_mirror_rssi(&mut self, k: usize, idx: GridIndex, value: f64) -> bool {
-        self.refs.set_rssi(k, idx, value)
-    }
-
-    fn rebuild(&mut self, refs: &ReferenceRssiMap) {
-        if same_shape(&self.refs, refs) {
-            // The cutover path out of `sync`: too many cells moved for
-            // patching, but the lattice is unchanged. Adopt the new values
-            // into the existing mirror and re-interpolate into the
-            // existing grid/plane buffers — a steady-state rebuild costs
-            // no allocation beyond interpolation scratch.
-            self.refs.copy_values_from(refs);
-            self.state.rebuild_in_place(&self.refs, &mut self.patcher);
-            return;
-        }
-        self.refs = refs.clone();
-        let (state, patcher) = VireState::build_with_patcher(&self.state.config, &self.refs)
-            .expect("refine was validated when this instance was built");
-        self.state = state;
-        self.patcher = patcher;
-        let k = self.refs.reader_count();
-        self.removed = vec![Vec::new(); k];
-        self.inserted = vec![Vec::new(); k];
-    }
-}
-
-impl PreparedLocalizer for PreparedVireOwned {
-    fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        PreparedVire::with_thread_scratch(|scratch| self.locate_with_scratch(reading, scratch))
-    }
-
-    fn name(&self) -> &'static str {
-        "VIRE"
-    }
-}
-
-impl OwnedPreparedLocalizer for PreparedVireOwned {
-    fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
-        if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
-            return SyncOutcome::Reused;
-        }
-        if !same_shape(&self.refs, refs) {
-            self.rebuild(refs);
-            self.source_id = refs.id();
-            self.synced_epoch = refs.epoch();
-            return SyncOutcome::Rebuilt;
-        }
-        // Early cutover: every journal entry is one epoch step, so when
-        // the map identity matches and the journal still reaches back to
-        // the synced epoch, `epoch - synced_epoch` counts the pending
-        // changes without materializing them. If even that raw count (an
-        // upper bound on the deduplicated dirty set) crosses the rebuild
-        // break-even, skip `discover_dirty` entirely — the journal
-        // replay, sort, dedup, and mirror compare it performs are pure
-        // overhead on a sync that was going to rebuild anyway, and
-        // rebuild-vs-patch is a perf choice only (both bit-identical).
-        if refs.id() == self.source_id
-            && refs.changes_since(self.synced_epoch).is_some()
-            && 6 * (refs.epoch() - self.synced_epoch) as usize
-                >= refs.reader_count() * refs.grid().node_count()
-        {
-            self.rebuild(refs);
-            self.source_id = refs.id();
-            self.synced_epoch = refs.epoch();
-            return SyncOutcome::Rebuilt;
-        }
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        discover_dirty(
-            &self.refs,
-            refs,
-            self.source_id,
-            self.synced_epoch,
-            hint,
-            &mut dirty,
-        );
-        let outcome = if dirty.is_empty() {
-            SyncOutcome::Reused
-        } else if 6 * dirty.len() >= refs.reader_count() * refs.grid().node_count() {
-            // Break-even: spread dirty cells touch whole fine rows *and*
-            // columns, so the interpolation saving collapses quickly while
-            // the sorted-plane merge still pays per changed fine value —
-            // measured on the default map (bench `incremental_prepare`),
-            // patching loses to rebuild beyond roughly a sixth of the
-            // coarse table.
-            self.rebuild(refs);
-            SyncOutcome::Rebuilt
-        } else {
-            for &(k, idx) in &dirty {
-                self.refs.set_rssi(k, idx, refs.rssi(k, idx));
-            }
-            self.apply_dirty(&dirty);
-            SyncOutcome::Patched(dirty.len())
-        };
-        self.source_id = refs.id();
-        self.synced_epoch = refs.epoch();
-        self.dirty_scratch = dirty;
-        outcome
-    }
-}
-
-impl Vire {
-    /// Builds an owned, snapshot-persistent prepared instance (see
-    /// [`PreparedVireOwned`]), or `None` when the configuration cannot be
-    /// prepared (`refine == 0` falls back to the per-call path).
-    pub fn prepare_owned_vire(&self, refs: &ReferenceRssiMap) -> Option<PreparedVireOwned> {
-        PreparedVireOwned::build(self.config(), refs).ok()
-    }
-}
-
-/// LANDMARC prepared state that survives across snapshots: a dirty
-/// calibration cell is one write into the reader-major signal planes
-/// (`planes[k * nodes + flat]`, the same layout the borrowed
-/// [`crate::PreparedLandmarc`] feeds the vector kernels).
-pub struct PreparedLandmarcOwned {
-    config: LandmarcConfig,
-    refs: ReferenceRssiMap,
-    planes: Vec<f64>,
-    positions: Vec<Point2>,
-    source_id: u64,
-    synced_epoch: u64,
-    dirty_scratch: Vec<DirtyCell>,
-}
-
-impl PreparedLandmarcOwned {
-    /// Builds the owned prepared state bound to `refs` (cloned).
-    pub fn build(config: LandmarcConfig, refs: &ReferenceRssiMap) -> Self {
-        let mirror = refs.clone();
-        let (planes, positions) = landmarc_planes(&mirror);
-        PreparedLandmarcOwned {
-            config,
-            refs: mirror,
-            planes,
-            positions,
-            source_id: refs.id(),
-            synced_epoch: refs.epoch(),
-            dirty_scratch: Vec::new(),
-        }
-    }
-
-    /// The reader-major signal planes — for bit-identity tests.
-    pub fn planes(&self) -> &[f64] {
-        &self.planes
-    }
-}
-
-impl PreparedLocalizer for PreparedLandmarcOwned {
-    fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        crate::localizer::check_readers(&self.refs, reading)?;
-        // Same kernel core as the borrowed PreparedLandmarc, over the
-        // owned planes — no per-call table rebuild.
-        with_landmarc_scratch(|scratch| {
-            landmarc_locate_core(
-                &self.planes,
-                &self.positions,
-                self.config.k,
-                reading,
-                scratch,
-            )
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "LANDMARC"
-    }
-}
-
-impl OwnedPreparedLocalizer for PreparedLandmarcOwned {
-    fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
-        if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
-            return SyncOutcome::Reused;
-        }
-        if !same_shape(&self.refs, refs) {
-            *self = PreparedLandmarcOwned::build(self.config, refs);
-            return SyncOutcome::Rebuilt;
-        }
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        discover_dirty(
-            &self.refs,
-            refs,
-            self.source_id,
-            self.synced_epoch,
-            hint,
-            &mut dirty,
-        );
-        let nodes = self.refs.grid().node_count();
-        let outcome = if dirty.is_empty() {
-            SyncOutcome::Reused
-        } else {
-            for &(k, idx) in &dirty {
-                let value = refs.rssi(k, idx);
-                self.refs.set_rssi(k, idx, value);
-                self.planes[k * nodes + self.refs.grid().flat(idx)] = value;
-            }
-            SyncOutcome::Patched(dirty.len())
-        };
-        self.source_id = refs.id();
-        self.synced_epoch = refs.epoch();
-        self.dirty_scratch = dirty;
-        outcome
-    }
-}
-
-impl Landmarc {
-    /// Builds an owned, snapshot-persistent prepared instance (see
-    /// [`PreparedLandmarcOwned`]).
-    pub fn prepare_owned_landmarc(&self, refs: &ReferenceRssiMap) -> PreparedLandmarcOwned {
-        PreparedLandmarcOwned::build(LandmarcConfig { k: self.k() }, refs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Landmarc, PreparedVire, TrackingReading, Vire};
     use vire_geom::{GridData, Point2, RegularGrid};
 
     fn readers() -> Vec<Point2> {
@@ -493,7 +146,7 @@ mod tests {
         ReferenceRssiMap::new(grid, readers(), fields)
     }
 
-    fn assert_matches_fresh(owned: &PreparedVireOwned, refs: &ReferenceRssiMap) {
+    fn assert_matches_fresh(owned: &PreparedVire, refs: &ReferenceRssiMap) {
         let fresh = Vire::default().prepare(refs).unwrap();
         let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(owned.planes()), bits(fresh.planes()));
@@ -503,14 +156,14 @@ mod tests {
     #[test]
     fn sync_reuses_on_identical_epoch() {
         let refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Reused);
     }
 
     #[test]
     fn sync_patches_via_the_journal_and_matches_fresh() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         let cell = GridIndex::new(1, 2);
         refs.set_rssi(0, cell, refs.rssi(0, cell) - 4.0);
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Patched(1));
@@ -522,7 +175,7 @@ mod tests {
     #[test]
     fn sync_patches_a_fresh_identity_via_full_diff() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         // A clone has a new id and empty journal; change two cells.
         let mut other = refs.clone();
         other.set_rssi(1, GridIndex::new(3, 3), -88.25);
@@ -542,7 +195,7 @@ mod tests {
     #[test]
     fn sync_rebuilds_on_bulk_change_and_matches_fresh() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         for k in 0..refs.reader_count() {
             for idx in refs.grid().indices().collect::<Vec<_>>() {
                 let v = refs.rssi(k, idx);
@@ -556,16 +209,16 @@ mod tests {
     #[test]
     fn sync_rebuilds_on_lattice_change() {
         let refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         let smaller = refs.without_reader(2).unwrap();
         assert_eq!(owned.sync(&smaller, &[]), SyncOutcome::Rebuilt);
         assert_matches_fresh(&owned, &smaller);
     }
 
     #[test]
-    fn owned_locate_matches_borrowed_prepare() {
+    fn synced_locate_matches_fresh_prepare() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         refs.set_rssi(1, GridIndex::new(2, 1), -84.75);
         owned.sync(&refs, &[]);
         let fresh = Vire::default().prepare(&refs).unwrap();
@@ -584,7 +237,7 @@ mod tests {
     #[test]
     fn landmarc_owned_patches_signal_table() {
         let mut refs = map();
-        let mut owned = Landmarc::default().prepare_owned_landmarc(&refs);
+        let mut owned = Landmarc::default().prepare(&refs);
         let cell = GridIndex::new(1, 1);
         refs.set_rssi(2, cell, -91.0);
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Patched(1));
@@ -600,7 +253,7 @@ mod tests {
             fresh.locate(&reading).unwrap()
         );
         // The patched signal planes match a rebuilt instance exactly.
-        let rebuilt = Landmarc::default().prepare_owned_landmarc(&refs);
+        let rebuilt = Landmarc::default().prepare(&refs);
         let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(owned.planes()), bits(rebuilt.planes()));
     }
@@ -608,7 +261,7 @@ mod tests {
     #[test]
     fn hint_path_is_used_when_the_journal_is_gone() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         // Overflow the journal (capacity 2 × 3 × 16 = 96) with churn on
         // one cell, netting out to a small real change set.
         let cell = GridIndex::new(2, 3);

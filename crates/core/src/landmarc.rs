@@ -5,8 +5,16 @@
 //! nearest references in that space are selected and the position estimate
 //! is their weighted centroid with weights `w_j ∝ 1/E_j²`. The paper under
 //! reproduction uses k = 4 ("an algorithm looking for the 4 nearest tags").
+//!
+//! [`Landmarc::prepare`] binds the algorithm to a calibration map as a
+//! [`PreparedLandmarc`](crate::PreparedLandmarc) — reader-major signal
+//! planes queried by the vector kernels, kept in step with a moving map
+//! by [`sync`](crate::OwnedPreparedLocalizer::sync). The one-shot
+//! [`Localizer::locate`] is prepare + locate on that type.
 
+use crate::incremental::OwnedPreparedLocalizer;
 use crate::localizer::{Estimate, LocalizeError, Localizer};
+use crate::prepared::PreparedLocalizer;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use vire_geom::Point2;
 
@@ -115,16 +123,15 @@ pub(crate) fn inverse_square_weights_into(distances: &[f64], out: &mut Vec<f64>)
 
 impl Localizer for Landmarc {
     /// One-shot localization: prepares the reader-major signal planes for
-    /// `refs`, answers the single query, and discards it. Loops over many
+    /// `refs`, answers the single query, and discards them. Loops over many
     /// readings against one map should use [`Landmarc::prepare`] — the
-    /// results are bit-identical (this method routes through the same
-    /// prepared core).
+    /// results are bit-identical (this method is prepare + locate on the
+    /// same [`PreparedLandmarc`](crate::PreparedLandmarc)).
     fn locate(
         &self,
         refs: &ReferenceRssiMap,
         reading: &TrackingReading,
     ) -> Result<Estimate, LocalizeError> {
-        use crate::prepared::PreparedLocalizer as _;
         self.prepare(refs).locate(reading)
     }
 
@@ -132,18 +139,8 @@ impl Localizer for Landmarc {
         "LANDMARC"
     }
 
-    fn prepare<'a>(
-        &'a self,
-        refs: &'a ReferenceRssiMap,
-    ) -> Box<dyn crate::prepared::PreparedLocalizer + 'a> {
-        Box::new(Landmarc::prepare(self, refs))
-    }
-
-    fn prepare_owned(
-        &self,
-        refs: &ReferenceRssiMap,
-    ) -> Option<Box<dyn crate::incremental::OwnedPreparedLocalizer>> {
-        Some(Box::new(self.prepare_owned_landmarc(refs)))
+    fn prepare_owned(&self, refs: &ReferenceRssiMap) -> Option<Box<dyn OwnedPreparedLocalizer>> {
+        Some(Box::new(Landmarc::prepare(self, refs)))
     }
 }
 

@@ -32,12 +32,17 @@
 //! ## Prepared (two-phase) localization
 //!
 //! Hot loops should not rebuild the virtual grid per reading. The
-//! [`prepared`] module splits every localizer into a *prepare* phase
-//! (bind to one [`ReferenceRssiMap`], via [`Localizer::prepare`] or the
-//! concrete [`Vire::prepare`] / [`Landmarc::prepare`]) and a *query*
-//! phase ([`PreparedLocalizer::locate`] /
+//! [`prepared`] module splits every localizer into a *prepare* phase and
+//! a *query* phase ([`PreparedLocalizer::locate`] /
 //! [`PreparedLocalizer::locate_batch`]) that allocates nothing in steady
-//! state and can fan a batch across threads. See DESIGN.md §"Prepared
+//! state and can fan a batch across threads. There is one prepared form
+//! per algorithm, [`PreparedVire`] and [`PreparedLandmarc`], built by
+//! [`Vire::prepare`] / [`Landmarc::prepare`] (or the trait-level
+//! [`Localizer::prepare_owned`] / [`Localizer::prepare`]). Each owns a
+//! mirror of its calibration map, so it outlives the map and follows
+//! later snapshots through [`OwnedPreparedLocalizer::sync`] ([`incremental`]),
+//! patching only the dirty cells. The one-shot [`Localizer::locate`] is
+//! prepare + locate on the same type. See DESIGN.md §"Prepared
 //! localization".
 
 #![warn(missing_docs)]
@@ -69,9 +74,7 @@ pub mod virtual_grid;
 pub mod weights;
 
 pub use fabric::{plan_waves, ShardAccess, StageAccess, ZoneFabric, ZoneStats};
-pub use incremental::{
-    DirtyCell, OwnedPreparedLocalizer, PreparedLandmarcOwned, PreparedVireOwned, SyncOutcome,
-};
+pub use incremental::{DirtyCell, OwnedPreparedLocalizer, SyncOutcome};
 pub use ingest::{
     parse_wire, parse_wire_versioned, validate_event, BeaconEvent, IngestBatch, IngestConfig,
     IngestFrontEnd, IngestStats, WireError, WIRE_MIN_VERSION, WIRE_VERSION,
@@ -85,7 +88,7 @@ pub use prepared::{
     locate_batch_parallel, PreparedLandmarc, PreparedLocalizer, PreparedVire, Unprepared,
     VireScratch,
 };
-pub use quality::{FixQuality, ScoredLocate};
+pub use quality::FixQuality;
 pub use scattered::{ScatteredLandmarc, ScatteredReferenceMap, ScatteredVire};
 pub use service::{
     LocationQuery, LocationService, QueryResponse, ServiceConfig, SyncStats, TagKey,

@@ -79,7 +79,12 @@ impl std::error::Error for LocalizeError {}
 /// `Sync` is a supertrait: localizers are immutable algorithm
 /// configurations, and the experiment harness and
 /// [`PreparedLocalizer::locate_batch`](crate::PreparedLocalizer::locate_batch)
-/// share them across scoped threads.
+/// share them across the lanes of the shared
+/// [`WorkerPool`](crate::pool::WorkerPool).
+///
+/// An algorithm with per-map work (VIRE, LANDMARC) implements only
+/// [`Localizer::prepare_owned`]; [`Localizer::prepare`] boxes that same
+/// state, so every caller of either method queries one prepared form.
 pub trait Localizer: Sync {
     /// Estimates the tracking tag's position.
     fn locate(
@@ -95,16 +100,21 @@ pub trait Localizer: Sync {
     /// query object that amortizes per-map work (virtual-grid
     /// interpolation, plane flattening) across many readings.
     ///
-    /// The default implementation performs no precomputation — each
+    /// The default boxes [`Localizer::prepare_owned`]'s state. Only when
+    /// that is `None` (no prepared state, or a configuration that cannot
+    /// be prepared) does it fall back to
+    /// [`Unprepared`](crate::prepared::Unprepared), whose
     /// [`PreparedLocalizer::locate`](crate::PreparedLocalizer::locate)
-    /// call simply delegates to [`Localizer::locate`], so every localizer
-    /// gets the prepared/batch API for free. Algorithms with real per-map
-    /// setup (VIRE, LANDMARC) override this.
+    /// simply delegates to [`Localizer::locate`] — so every localizer gets
+    /// the prepared/batch API for free.
     fn prepare<'a>(
         &'a self,
         refs: &'a ReferenceRssiMap,
     ) -> Box<dyn crate::prepared::PreparedLocalizer + 'a> {
-        Box::new(crate::prepared::Unprepared::new(self, refs))
+        match self.prepare_owned(refs) {
+            Some(prepared) => prepared,
+            None => Box::new(crate::prepared::Unprepared::new(self, refs)),
+        }
     }
 
     /// Binds this localizer to a *copy* of the calibration map, returning
@@ -112,9 +122,9 @@ pub trait Localizer: Sync {
     /// kept in [`sync`](crate::incremental::OwnedPreparedLocalizer::sync)
     /// with later calibration snapshots by patching only the dirty cells.
     ///
-    /// Returns `None` when the algorithm has no incremental path (the
-    /// default) or the configuration cannot be prepared; callers fall back
-    /// to per-snapshot [`Localizer::prepare`].
+    /// Returns `None` when the algorithm has no prepared state (the
+    /// default) or the configuration cannot be prepared; callers then
+    /// query per map through [`Localizer::prepare`].
     fn prepare_owned(
         &self,
         refs: &ReferenceRssiMap,

@@ -1,33 +1,44 @@
-//! Prepared (two-phase) localization: bind a localizer to one calibration
+//! Prepared (two-phase) localization: bind a localizer to a calibration
 //! map once, then answer many queries cheaply.
 //!
-//! The one-shot [`Localizer::locate`] API rebuilds everything per reading:
-//! VIRE re-interpolates the virtual grid and re-allocates elimination
-//! masks and weight buffers every call, even though none of that depends
-//! on the reading. This module splits the pipeline:
+//! VIRE splits into per-map work (interpolating the virtual reference
+//! grid, §4.2) and per-reading work (elimination and weighting, §4.3).
+//! This module holds the one prepared form of each algorithm:
 //!
-//! * **prepare** — [`Vire::prepare`] / [`Landmarc::prepare`] do all
-//!   map-dependent work up front: the interpolated [`VirtualGrid`], the
-//!   per-reader RSSI planes flattened reader-major for cache-friendly
-//!   scans, and (for LANDMARC) the same reader-major planes plus
+//! * **prepare** — [`Vire::prepare`] / [`Landmarc::prepare`] clone the map
+//!   into an owned mirror and do all map-dependent work up front: for
+//!   VIRE the interpolated [`VirtualGrid`], the per-reader RSSI planes
+//!   flattened reader-major for cache-friendly scans, and their sorted
+//!   copies; for LANDMARC the same reader-major planes plus node
 //!   positions.
 //! * **query** — [`PreparedVire::locate_with_scratch`] runs elimination
 //!   and weighting through a reusable [`VireScratch`] arena, so steady
 //!   state performs **zero heap allocation** per reading.
+//! * **sync** — both types own their state, so they outlive the source
+//!   map and follow it across calibration snapshots by patching only the
+//!   dirty cells ([`OwnedPreparedLocalizer::sync`], in
+//!   [`crate::incremental`]).
 //!
-//! [`PreparedLocalizer::locate_batch`] fans a slice of readings across
-//! scoped threads (each with its own thread-local scratch), preserving
-//! input order. Results are bit-identical to calling [`Localizer::locate`]
-//! per reading — the one-shot path is itself routed through the prepared
-//! implementation, so there is a single code path to trust.
+//! The one-shot [`Localizer::locate`] of both algorithms is prepare +
+//! locate on the same types, so there is a single code path to trust.
+//! [`PreparedLocalizer::locate_batch`] fans a slice of readings across the
+//! shared [`WorkerPool`](crate::pool::WorkerPool) (each lane with its own
+//! thread-local scratch), preserving input order; results are
+//! bit-identical to calling [`PreparedLocalizer::locate`] per reading.
+//!
+//! [`OwnedPreparedLocalizer::sync`]: crate::incremental::OwnedPreparedLocalizer::sync
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use crate::elimination::{eliminate_into, flatten_planes, sort_planes, ElimBuffers, ThresholdMode};
+use crate::incremental::{
+    discover_dirty, same_shape, DirtyCell, OwnedPreparedLocalizer, SyncOutcome,
+};
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
+use crate::sorted_vec;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{EmptyFallback, Vire, VireConfig};
 use crate::virtual_grid::{GridPatcher, VirtualGrid};
@@ -46,7 +57,8 @@ pub trait PreparedLocalizer: Sync {
 
     /// Localizes a batch of readings, preserving input order.
     ///
-    /// The default fans the slice across scoped threads via
+    /// The default fans the slice across the shared
+    /// [`WorkerPool`](crate::pool::WorkerPool) via
     /// [`locate_batch_parallel`]; results are identical to calling
     /// [`PreparedLocalizer::locate`] sequentially.
     fn locate_batch(&self, readings: &[TrackingReading]) -> Vec<Result<Estimate, LocalizeError>> {
@@ -103,9 +115,11 @@ where
     out
 }
 
-/// The trivial prepared adapter behind [`Localizer::prepare`]'s default:
-/// holds the localizer and map and delegates every query to the one-shot
-/// path. No precomputation, but it still provides `locate_batch`.
+/// The trivial prepared adapter behind [`Localizer::prepare`]'s default
+/// for localizers with no prepared state
+/// ([`Localizer::prepare_owned`] returns `None`): holds the localizer and
+/// map and delegates every query to the one-shot path. No precomputation,
+/// but it still provides `locate_batch`.
 pub struct Unprepared<'a, L: ?Sized> {
     inner: &'a L,
     refs: &'a ReferenceRssiMap,
@@ -156,27 +170,53 @@ thread_local! {
     static VIRE_SCRATCH: RefCell<VireScratch> = RefCell::new(VireScratch::new());
 }
 
-/// The map-bound VIRE state shared by the borrowed [`PreparedVire`] and
-/// the owned incremental [`crate::incremental::PreparedVireOwned`]: the
-/// interpolated [`VirtualGrid`], the per-reader RSSI planes flattened
-/// reader-major (`planes[k * nodes + flat]`), the per-reader sorted
-/// planes, and the resolved threshold mode.
-pub(crate) struct VireState {
-    pub(crate) config: VireConfig,
-    pub(crate) grid: VirtualGrid,
-    pub(crate) planes: Vec<f64>,
+/// VIRE bound to a calibration map it owns.
+///
+/// Holds an owned mirror of the map, the interpolated [`VirtualGrid`], the
+/// per-reader RSSI planes flattened reader-major
+/// (`planes[k * nodes + flat]`) so elimination and weighting scan
+/// contiguous memory, their per-reader sorted copies, and the
+/// [`GridPatcher`] that lets [`sync`](crate::OwnedPreparedLocalizer::sync)
+/// patch all of them in place when a few calibration cells move.
+pub struct PreparedVire {
+    config: VireConfig,
+    grid: VirtualGrid,
+    planes: Vec<f64>,
     /// Per-reader ascending-sorted copy of `planes` — elimination's
     /// reading-independent search structure (nearest-gap lookups).
     /// Ordered by [`f64::total_cmp`], so the bytes are a pure function of
     /// each plane's value multiset (the incremental repair relies on it).
-    pub(crate) sorted: Vec<f64>,
+    /// Empty under a fixed threshold, which never consults it.
+    sorted: Vec<f64>,
     /// Threshold mode with the auto candidate floor already resolved to
     /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
-    pub(crate) threshold: ThresholdMode,
+    threshold: ThresholdMode,
+    patcher: GridPatcher,
+    /// Owned mirror of the source map, bit-identical to it as of
+    /// (`source_id`, `synced_epoch`).
+    refs: ReferenceRssiMap,
+    source_id: u64,
+    synced_epoch: u64,
+    /// Per-reader plane-repair batches (old/new values) + merge scratch.
+    removed: Vec<Vec<f64>>,
+    inserted: Vec<Vec<f64>>,
+    survivors: Vec<f64>,
+    dirty_scratch: Vec<DirtyCell>,
 }
 
-impl VireState {
-    fn from_grid(config: &VireConfig, grid: VirtualGrid) -> Self {
+impl PreparedVire {
+    /// Builds the prepared state bound to `refs` (cloned into an internal
+    /// mirror). Errors when the configuration is degenerate
+    /// (`refine == 0`), before any copy is made.
+    fn build(config: &VireConfig, refs: &ReferenceRssiMap) -> Result<Self, LocalizeError> {
+        if config.refine == 0 {
+            return Err(LocalizeError::InsufficientData(
+                "refinement factor must be >= 1".into(),
+            ));
+        }
+        let mirror = refs.clone();
+        let (grid, patcher) =
+            VirtualGrid::build_with_patcher(&mirror, config.refine, config.kernel);
         let planes = flatten_planes(&grid);
         // The fixed-threshold arm never consults the sorted planes.
         let sorted = match config.threshold {
@@ -202,80 +242,75 @@ impl VireState {
             },
             other => other,
         };
-        VireState {
+        let k = mirror.reader_count();
+        Ok(PreparedVire {
             config: config.clone(),
             grid,
             planes,
             sorted,
             threshold,
-        }
+            patcher,
+            refs: mirror,
+            source_id: refs.id(),
+            synced_epoch: refs.epoch(),
+            removed: vec![Vec::new(); k],
+            inserted: vec![Vec::new(); k],
+            survivors: Vec::new(),
+            dirty_scratch: Vec::new(),
+        })
     }
 
-    fn check_refine(config: &VireConfig) -> Result<(), LocalizeError> {
-        if config.refine == 0 {
-            return Err(LocalizeError::InsufficientData(
-                "refinement factor must be >= 1".into(),
-            ));
-        }
-        Ok(())
+    /// The cached virtual grid.
+    pub fn grid(&self) -> &VirtualGrid {
+        &self.grid
     }
 
-    pub(crate) fn build(
-        config: &VireConfig,
-        refs: &ReferenceRssiMap,
-    ) -> Result<Self, LocalizeError> {
-        Self::check_refine(config)?;
-        let grid = VirtualGrid::build(refs, config.refine, config.kernel);
-        Ok(Self::from_grid(config, grid))
+    /// The configuration this instance was prepared with.
+    pub fn config(&self) -> &VireConfig {
+        &self.config
     }
 
-    /// Builds the state along with the [`GridPatcher`] the incremental
-    /// path uses to re-interpolate dirty regions in place.
-    pub(crate) fn build_with_patcher(
-        config: &VireConfig,
-        refs: &ReferenceRssiMap,
-    ) -> Result<(Self, GridPatcher), LocalizeError> {
-        Self::check_refine(config)?;
-        let (grid, patcher) = VirtualGrid::build_with_patcher(refs, config.refine, config.kernel);
-        Ok((Self::from_grid(config, grid), patcher))
+    /// The owned mirror of the calibration map this instance is synced to.
+    pub fn refs(&self) -> &ReferenceRssiMap {
+        &self.refs
     }
 
-    /// Rebuilds the state from `refs` **in place**, reusing the virtual
-    /// grid's field buffers, the flattened planes, and the sorted planes
-    /// — bit-identical to a fresh [`Self::build_with_patcher`], without
-    /// its allocations. `patcher` must be the one built alongside this
-    /// state, and `refs` must span the same lattice and reader set the
-    /// state was built for (the patcher asserts both).
-    ///
-    /// The config-derived parts (`config`, resolved `threshold`, whether
-    /// the sorted planes exist at all) are untouched: they depend only on
-    /// the configuration, never on the map contents.
-    pub(crate) fn rebuild_in_place(&mut self, refs: &ReferenceRssiMap, patcher: &mut GridPatcher) {
-        patcher.rebuild(&mut self.grid, refs);
-        let nodes = self.grid.tag_count();
-        debug_assert_eq!(self.planes.len(), self.grid.reader_count() * nodes);
-        for k in 0..self.grid.reader_count() {
-            self.planes[k * nodes..(k + 1) * nodes].copy_from_slice(self.grid.field(k).as_slice());
-        }
-        if !self.sorted.is_empty() {
-            // Same total-order sort `sort_planes` runs on a fresh build.
-            self.sorted.copy_from_slice(&self.planes);
-            for k in 0..self.grid.reader_count() {
-                self.sorted[k * nodes..(k + 1) * nodes].sort_unstable_by(f64::total_cmp);
-            }
-        }
+    /// The flattened reader-major RSSI planes (`planes[k * nodes + flat]`)
+    /// — exposed so bit-identity tests can compare prepared states.
+    pub fn planes(&self) -> &[f64] {
+        &self.planes
     }
 
-    /// Query core shared by every VIRE entry point. `refs` supplies the
-    /// reader count check and the LANDMARC fallback; it must be the map
-    /// this state was built from (bit-identical values).
+    /// The per-reader ascending-sorted planes (empty under a fixed
+    /// threshold) — exposed for bit-identity tests.
+    pub fn sorted_planes(&self) -> &[f64] {
+        &self.sorted
+    }
+
+    /// Localizes one reading through an explicit scratch arena — the
+    /// fully allocation-free entry point for callers managing their own
+    /// scratch. [`PreparedLocalizer::locate`] is the implicit
+    /// (thread-local scratch) equivalent.
+    pub fn locate_with_scratch(
+        &self,
+        reading: &TrackingReading,
+        scratch: &mut VireScratch,
+    ) -> Result<Estimate, LocalizeError> {
+        self.locate_core(reading, scratch).map(|(est, _)| est)
+    }
+
+    /// Query core shared by every VIRE entry point (prepared, batch, and
+    /// the one-shot [`Vire::locate_with_diagnostics`]). The final mask and
+    /// thresholds stay in `scratch` so the diagnostic path can materialize
+    /// an `EliminationResult` without a second run; the bool is false when
+    /// the fallback path produced the estimate (no elimination diagnostics
+    /// exist).
     pub(crate) fn locate_core(
         &self,
-        refs: &ReferenceRssiMap,
         reading: &TrackingReading,
         scratch: &mut VireScratch,
     ) -> Result<(Estimate, bool), LocalizeError> {
-        check_readers(refs, reading)?;
+        check_readers(&self.refs, reading)?;
         let nodes = self.grid.tag_count();
 
         if !eliminate_into(
@@ -289,7 +324,8 @@ impl VireState {
             return match self.config.fallback {
                 EmptyFallback::Error => Err(LocalizeError::AllEliminated),
                 EmptyFallback::Landmarc => {
-                    let est = Landmarc::new(LandmarcConfig::default()).locate(refs, reading)?;
+                    let est =
+                        Landmarc::new(LandmarcConfig::default()).locate(&self.refs, reading)?;
                     Ok((est, false))
                 }
             };
@@ -327,88 +363,84 @@ impl VireState {
         };
         Ok((estimate, true))
     }
-}
-
-/// VIRE bound to one calibration map: owns the interpolated
-/// [`VirtualGrid`] plus the per-reader RSSI planes flattened reader-major
-/// (`planes[k * nodes + flat]`) so elimination and weighting scan
-/// contiguous memory.
-pub struct PreparedVire<'a> {
-    refs: &'a ReferenceRssiMap,
-    state: VireState,
-}
-
-impl<'a> PreparedVire<'a> {
-    pub(crate) fn build(
-        config: &VireConfig,
-        refs: &'a ReferenceRssiMap,
-    ) -> Result<Self, LocalizeError> {
-        Ok(PreparedVire {
-            refs,
-            state: VireState::build(config, refs)?,
-        })
-    }
-
-    /// The cached virtual grid.
-    pub fn grid(&self) -> &VirtualGrid {
-        &self.state.grid
-    }
-
-    /// The configuration this instance was prepared with.
-    pub fn config(&self) -> &VireConfig {
-        &self.state.config
-    }
-
-    /// The calibration map this instance is bound to.
-    pub fn refs(&self) -> &ReferenceRssiMap {
-        self.refs
-    }
-
-    /// The flattened reader-major RSSI planes (`planes[k * nodes + flat]`)
-    /// — exposed so bit-identity tests can compare prepared states.
-    pub fn planes(&self) -> &[f64] {
-        &self.state.planes
-    }
-
-    /// The per-reader ascending-sorted planes (empty under a fixed
-    /// threshold) — exposed for bit-identity tests.
-    pub fn sorted_planes(&self) -> &[f64] {
-        &self.state.sorted
-    }
-
-    /// Localizes one reading through an explicit scratch arena — the
-    /// fully allocation-free entry point for callers managing their own
-    /// scratch. [`PreparedLocalizer::locate`] is the implicit
-    /// (thread-local scratch) equivalent.
-    pub fn locate_with_scratch(
-        &self,
-        reading: &TrackingReading,
-        scratch: &mut VireScratch,
-    ) -> Result<Estimate, LocalizeError> {
-        self.locate_core(reading, scratch).map(|(est, _)| est)
-    }
-
-    /// Query core shared by every VIRE entry point (prepared, batch, and
-    /// the one-shot [`Vire::locate_with_diagnostics`]). Returns the final
-    /// thresholds alongside the estimate so the diagnostic path can
-    /// materialize an `EliminationResult` without a second run; the bool
-    /// is false when the fallback path produced the estimate (no
-    /// elimination diagnostics exist).
-    pub(crate) fn locate_core(
-        &self,
-        reading: &TrackingReading,
-        scratch: &mut VireScratch,
-    ) -> Result<(Estimate, bool), LocalizeError> {
-        self.state.locate_core(self.refs, reading, scratch)
-    }
 
     /// Runs `f` with this thread's scratch arena borrowed mutably.
     pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
         VIRE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
+
+    /// Patches the prepared state in place for `dirty` cells whose new
+    /// values are already in the mirror — **always** the patch path,
+    /// regardless of batch size (`sync` adds the rebuild heuristic on
+    /// top). Afterwards `planes`, `sorted_planes`, and the virtual grid
+    /// are bit-identical to a from-scratch prepare against the mirror.
+    fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
+        let k_readers = self.refs.reader_count();
+        let nodes = self.grid.tag_count();
+        for batch in self.removed.iter_mut().chain(self.inserted.iter_mut()) {
+            batch.clear();
+        }
+        let planes = &mut self.planes;
+        let removed = &mut self.removed;
+        let inserted = &mut self.inserted;
+        self.patcher
+            .patch(&mut self.grid, &self.refs, dirty, |k, flat, old, new| {
+                planes[k * nodes + flat] = new;
+                removed[k].push(old);
+                inserted[k].push(new);
+            });
+        if self.sorted.is_empty() {
+            return; // Fixed threshold: no sorted planes to repair.
+        }
+        for k in 0..k_readers {
+            if removed[k].is_empty() {
+                continue;
+            }
+            let segment = &mut self.sorted[k * nodes..(k + 1) * nodes];
+            if removed[k].len() <= 8 {
+                // Few moves: per-entry rotate is cheaper than a merge.
+                for (&old, &new) in removed[k].iter().zip(&inserted[k]) {
+                    let hit = sorted_vec::replace(segment, old, new);
+                    debug_assert!(hit, "stale sorted plane");
+                }
+            } else {
+                sorted_vec::merge_replace(
+                    segment,
+                    &mut removed[k],
+                    &mut inserted[k],
+                    &mut self.survivors,
+                );
+            }
+        }
+    }
+
+    /// Rebuilds the state from `refs`, which must span the same lattice and
+    /// reader set (the cutover path out of `sync`: too many cells moved for
+    /// patching). The new values are adopted into the existing mirror and
+    /// re-interpolated into the existing grid and plane buffers —
+    /// bit-identical to a fresh prepare, without its allocations. The
+    /// config-derived parts (resolved `threshold`, whether the sorted
+    /// planes exist at all) depend only on the configuration and stay as
+    /// they are.
+    fn rebuild(&mut self, refs: &ReferenceRssiMap) {
+        self.refs.copy_values_from(refs);
+        self.patcher.rebuild(&mut self.grid, &self.refs);
+        let nodes = self.grid.tag_count();
+        debug_assert_eq!(self.planes.len(), self.grid.reader_count() * nodes);
+        for k in 0..self.grid.reader_count() {
+            self.planes[k * nodes..(k + 1) * nodes].copy_from_slice(self.grid.field(k).as_slice());
+        }
+        if !self.sorted.is_empty() {
+            // Same total-order sort `sort_planes` runs on a fresh build.
+            self.sorted.copy_from_slice(&self.planes);
+            for k in 0..self.grid.reader_count() {
+                self.sorted[k * nodes..(k + 1) * nodes].sort_unstable_by(f64::total_cmp);
+            }
+        }
+    }
 }
 
-impl PreparedLocalizer for PreparedVire<'_> {
+impl PreparedLocalizer for PreparedVire {
     fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
         Self::with_thread_scratch(|scratch| self.locate_with_scratch(reading, scratch))
     }
@@ -418,22 +450,90 @@ impl PreparedLocalizer for PreparedVire<'_> {
     }
 }
 
-/// LANDMARC bound to one calibration map: reader-major RSSI planes
-/// (`planes[k * nodes + flat]`, the same layout VIRE's prepared state
-/// uses) plus node positions, so each query runs the lane-chunked
-/// squared-E-distance kernel over contiguous plane memory.
-pub struct PreparedLandmarc<'a> {
-    config: LandmarcConfig,
-    refs: &'a ReferenceRssiMap,
-    planes: Vec<f64>,
-    positions: Vec<Point2>,
+impl OwnedPreparedLocalizer for PreparedVire {
+    fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
+        if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
+            return SyncOutcome::Reused;
+        }
+        if !same_shape(&self.refs, refs) {
+            *self = PreparedVire::build(&self.config, refs)
+                .expect("refine was validated when this instance was built");
+            return SyncOutcome::Rebuilt;
+        }
+        // Early cutover: every journal entry is one epoch step, so when
+        // the map identity matches and the journal still reaches back to
+        // the synced epoch, `epoch - synced_epoch` counts the pending
+        // changes without materializing them. If even that raw count (an
+        // upper bound on the deduplicated dirty set) crosses the rebuild
+        // break-even, skip `discover_dirty` entirely — the journal
+        // replay, sort, dedup, and mirror compare it performs are pure
+        // overhead on a sync that was going to rebuild anyway, and
+        // rebuild-vs-patch is a perf choice only (both bit-identical).
+        if refs.id() == self.source_id
+            && refs.changes_since(self.synced_epoch).is_some()
+            && 6 * (refs.epoch() - self.synced_epoch) as usize
+                >= refs.reader_count() * refs.grid().node_count()
+        {
+            self.rebuild(refs);
+            self.source_id = refs.id();
+            self.synced_epoch = refs.epoch();
+            return SyncOutcome::Rebuilt;
+        }
+        let mut dirty = std::mem::take(&mut self.dirty_scratch);
+        discover_dirty(
+            &self.refs,
+            refs,
+            self.source_id,
+            self.synced_epoch,
+            hint,
+            &mut dirty,
+        );
+        let outcome = if dirty.is_empty() {
+            SyncOutcome::Reused
+        } else if 6 * dirty.len() >= refs.reader_count() * refs.grid().node_count() {
+            // Break-even: spread dirty cells touch whole fine rows *and*
+            // columns, so the interpolation saving collapses quickly while
+            // the sorted-plane merge still pays per changed fine value —
+            // measured on the default map (bench `incremental_prepare`),
+            // patching loses to rebuild beyond roughly a sixth of the
+            // coarse table.
+            self.rebuild(refs);
+            SyncOutcome::Rebuilt
+        } else {
+            for &(k, idx) in &dirty {
+                self.refs.set_rssi(k, idx, refs.rssi(k, idx));
+            }
+            self.apply_dirty(&dirty);
+            SyncOutcome::Patched(dirty.len())
+        };
+        self.source_id = refs.id();
+        self.synced_epoch = refs.epoch();
+        self.dirty_scratch = dirty;
+        outcome
+    }
 }
 
-/// Scratch for LANDMARC queries (borrowed and owned-incremental alike):
-/// the kernel's squared-distance plane, the `(e², flat)` selection pairs,
-/// and the winner distance/position/weight buffers.
+/// LANDMARC bound to a calibration map it owns: an owned mirror of the
+/// map, its reader-major RSSI planes (`planes[k * nodes + flat]`, the
+/// same layout [`PreparedVire`] uses) and node positions, so each query
+/// runs the lane-chunked squared-E-distance kernel over contiguous plane
+/// memory. A dirty calibration cell is one write into the planes
+/// ([`sync`](crate::OwnedPreparedLocalizer::sync)).
+pub struct PreparedLandmarc {
+    config: LandmarcConfig,
+    refs: ReferenceRssiMap,
+    planes: Vec<f64>,
+    positions: Vec<Point2>,
+    source_id: u64,
+    synced_epoch: u64,
+    dirty_scratch: Vec<DirtyCell>,
+}
+
+/// Scratch for LANDMARC queries: the kernel's squared-distance plane, the
+/// `(e², flat)` selection pairs, and the winner distance/position/weight
+/// buffers.
 #[derive(Debug, Default)]
-pub(crate) struct LandmarcScratch {
+struct LandmarcScratch {
     esq: Vec<f64>,
     scored: Vec<(f64, u32)>,
     distances: Vec<f64>,
@@ -445,103 +545,92 @@ thread_local! {
     static LANDMARC_SCRATCH: RefCell<LandmarcScratch> = RefCell::new(LandmarcScratch::default());
 }
 
-/// Runs `f` with this thread's LANDMARC scratch borrowed mutably.
-pub(crate) fn with_landmarc_scratch<R>(f: impl FnOnce(&mut LandmarcScratch) -> R) -> R {
-    LANDMARC_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// LANDMARC query core over reader-major planes, shared by
-/// [`PreparedLandmarc`] and [`crate::incremental::PreparedLandmarcOwned`].
-///
-/// The per-node E-distance plane comes from the vector kernel in squared
-/// form; selection of the `k_select` nearest runs on `(e², flat)` — exact
-/// because `sqrt` is monotone, with the flat-index tie-break reproducing
-/// the historical stable sort — and the square root is taken only for the
-/// winners before the inverse-square weighting.
-pub(crate) fn landmarc_locate_core(
-    planes: &[f64],
-    positions: &[Point2],
-    k_select: usize,
-    reading: &TrackingReading,
-    scratch: &mut LandmarcScratch,
-) -> Result<Estimate, LocalizeError> {
-    let total_refs = positions.len();
-    if k_select == 0 || k_select > total_refs {
-        return Err(LocalizeError::InsufficientData(format!(
-            "k = {k_select} with {total_refs} reference tags"
-        )));
-    }
-    // Same per-node accumulation as `TrackingReading::signal_distance`:
-    // Σ_k (θ_k − S_k)², k ascending; node order is the grid's row-major
-    // order, as in `Landmarc::signal_distances`.
-    kernels::edist_sq_into(planes, total_refs, reading.rssi(), &mut scratch.esq);
-    scratch.scored.clear();
-    scratch.scored.extend(
-        scratch
-            .esq
-            .iter()
-            .enumerate()
-            .map(|(flat, &e)| (e, flat as u32)),
-    );
-    kernels::select_k_smallest(&mut scratch.scored, k_select);
-
-    scratch.distances.clear();
-    scratch.positions.clear();
-    for &(esq, flat) in scratch.scored.iter() {
-        // Deferred sqrt: e = √(Σ d²) bit-matches the historical per-node
-        // sqrt because the sum ran in the same order.
-        scratch.distances.push(esq.sqrt());
-        scratch.positions.push(positions[flat as usize]);
-    }
-    inverse_square_weights_into(&scratch.distances, &mut scratch.weights);
-
-    Point2::weighted_centroid(&scratch.positions, &scratch.weights)
-        .map(|position| Estimate::new(position, k_select))
-        .ok_or(LocalizeError::DegenerateWeights)
-}
-
-/// Flattens a calibration map's per-reader fields into the reader-major
-/// plane layout (`planes[k * nodes + flat]`) with matching row-major node
-/// positions.
-pub(crate) fn landmarc_planes(refs: &ReferenceRssiMap) -> (Vec<f64>, Vec<Point2>) {
-    let grid = refs.grid();
-    let mut planes = Vec::with_capacity(refs.reader_count() * grid.node_count());
-    for k in 0..refs.reader_count() {
-        planes.extend_from_slice(refs.field(k).as_slice());
-    }
-    let positions = grid.indices().map(|idx| grid.position(idx)).collect();
-    (planes, positions)
-}
-
-impl<'a> PreparedLandmarc<'a> {
-    pub(crate) fn build(config: LandmarcConfig, refs: &'a ReferenceRssiMap) -> Self {
-        let (planes, positions) = landmarc_planes(refs);
+impl PreparedLandmarc {
+    /// Builds the prepared state bound to `refs` (cloned into an internal
+    /// mirror): the per-reader fields flattened reader-major with matching
+    /// row-major node positions.
+    fn build(config: LandmarcConfig, refs: &ReferenceRssiMap) -> Self {
+        let mirror = refs.clone();
+        let grid = mirror.grid();
+        let mut planes = Vec::with_capacity(mirror.reader_count() * grid.node_count());
+        for k in 0..mirror.reader_count() {
+            planes.extend_from_slice(mirror.field(k).as_slice());
+        }
+        let positions = grid.indices().map(|idx| grid.position(idx)).collect();
         PreparedLandmarc {
             config,
-            refs,
+            refs: mirror,
             planes,
             positions,
+            source_id: refs.id(),
+            synced_epoch: refs.epoch(),
+            dirty_scratch: Vec::new(),
         }
     }
 
-    /// The calibration map this instance is bound to.
+    /// The owned mirror of the calibration map this instance is synced to.
     pub fn refs(&self) -> &ReferenceRssiMap {
-        self.refs
+        &self.refs
+    }
+
+    /// The reader-major signal planes — for bit-identity tests.
+    pub fn planes(&self) -> &[f64] {
+        &self.planes
+    }
+
+    /// The query core.
+    ///
+    /// The per-node E-distance plane comes from the vector kernel in
+    /// squared form; selection of the `k` nearest runs on `(e², flat)` —
+    /// exact because `sqrt` is monotone, with the flat-index tie-break
+    /// reproducing the historical stable sort — and the square root is
+    /// taken only for the winners before the inverse-square weighting.
+    fn locate_with_scratch(
+        &self,
+        reading: &TrackingReading,
+        scratch: &mut LandmarcScratch,
+    ) -> Result<Estimate, LocalizeError> {
+        check_readers(&self.refs, reading)?;
+        let k_select = self.config.k;
+        let total_refs = self.positions.len();
+        if k_select == 0 || k_select > total_refs {
+            return Err(LocalizeError::InsufficientData(format!(
+                "k = {k_select} with {total_refs} reference tags"
+            )));
+        }
+        // Same per-node accumulation as `TrackingReading::signal_distance`:
+        // Σ_k (θ_k − S_k)², k ascending; node order is the grid's row-major
+        // order, as in `Landmarc::signal_distances`.
+        kernels::edist_sq_into(&self.planes, total_refs, reading.rssi(), &mut scratch.esq);
+        scratch.scored.clear();
+        scratch.scored.extend(
+            scratch
+                .esq
+                .iter()
+                .enumerate()
+                .map(|(flat, &e)| (e, flat as u32)),
+        );
+        kernels::select_k_smallest(&mut scratch.scored, k_select);
+
+        scratch.distances.clear();
+        scratch.positions.clear();
+        for &(esq, flat) in scratch.scored.iter() {
+            // Deferred sqrt: e = √(Σ d²) bit-matches the historical
+            // per-node sqrt because the sum ran in the same order.
+            scratch.distances.push(esq.sqrt());
+            scratch.positions.push(self.positions[flat as usize]);
+        }
+        inverse_square_weights_into(&scratch.distances, &mut scratch.weights);
+
+        Point2::weighted_centroid(&scratch.positions, &scratch.weights)
+            .map(|position| Estimate::new(position, k_select))
+            .ok_or(LocalizeError::DegenerateWeights)
     }
 }
 
-impl PreparedLocalizer for PreparedLandmarc<'_> {
+impl PreparedLocalizer for PreparedLandmarc {
     fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        check_readers(self.refs, reading)?;
-        with_landmarc_scratch(|scratch| {
-            landmarc_locate_core(
-                &self.planes,
-                &self.positions,
-                self.config.k,
-                reading,
-                scratch,
-            )
-        })
+        LANDMARC_SCRATCH.with(|cell| self.locate_with_scratch(reading, &mut cell.borrow_mut()))
     }
 
     fn name(&self) -> &'static str {
@@ -549,22 +638,59 @@ impl PreparedLocalizer for PreparedLandmarc<'_> {
     }
 }
 
+impl OwnedPreparedLocalizer for PreparedLandmarc {
+    fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
+        if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
+            return SyncOutcome::Reused;
+        }
+        if !same_shape(&self.refs, refs) {
+            *self = PreparedLandmarc::build(self.config, refs);
+            return SyncOutcome::Rebuilt;
+        }
+        let mut dirty = std::mem::take(&mut self.dirty_scratch);
+        discover_dirty(
+            &self.refs,
+            refs,
+            self.source_id,
+            self.synced_epoch,
+            hint,
+            &mut dirty,
+        );
+        let nodes = self.refs.grid().node_count();
+        let outcome = if dirty.is_empty() {
+            SyncOutcome::Reused
+        } else {
+            for &(k, idx) in &dirty {
+                let value = refs.rssi(k, idx);
+                self.refs.set_rssi(k, idx, value);
+                self.planes[k * nodes + self.refs.grid().flat(idx)] = value;
+            }
+            SyncOutcome::Patched(dirty.len())
+        };
+        self.source_id = refs.id();
+        self.synced_epoch = refs.epoch();
+        self.dirty_scratch = dirty;
+        outcome
+    }
+}
+
 impl Vire {
-    /// Binds this VIRE configuration to one calibration map, building the
-    /// virtual grid and flattened RSSI planes once. Errors when the
-    /// configuration is degenerate (`refine == 0`).
-    pub fn prepare<'a>(
-        &self,
-        refs: &'a ReferenceRssiMap,
-    ) -> Result<PreparedVire<'a>, LocalizeError> {
+    /// Binds this VIRE configuration to a copy of one calibration map,
+    /// building the virtual grid, flattened RSSI planes and their sorted
+    /// copies once. The result outlives `refs` and can follow later
+    /// snapshots through [`sync`](crate::OwnedPreparedLocalizer::sync).
+    /// Errors when the configuration is degenerate (`refine == 0`).
+    pub fn prepare(&self, refs: &ReferenceRssiMap) -> Result<PreparedVire, LocalizeError> {
         PreparedVire::build(self.config(), refs)
     }
 }
 
 impl Landmarc {
-    /// Binds this LANDMARC configuration to one calibration map, caching
-    /// reader-major signal planes and node positions.
-    pub fn prepare<'a>(&self, refs: &'a ReferenceRssiMap) -> PreparedLandmarc<'a> {
+    /// Binds this LANDMARC configuration to a copy of one calibration
+    /// map, caching reader-major signal planes and node positions. The
+    /// result outlives `refs` and can follow later snapshots through
+    /// [`sync`](crate::OwnedPreparedLocalizer::sync).
+    pub fn prepare(&self, refs: &ReferenceRssiMap) -> PreparedLandmarc {
         PreparedLandmarc::build(LandmarcConfig { k: self.k() }, refs)
     }
 }

@@ -20,7 +20,6 @@ use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::Vire;
 use crate::virtual_grid::VirtualGrid;
 use crate::weights::candidate_weights;
-use vire_geom::Point2;
 
 /// Quality diagnostics for one fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,36 +95,10 @@ impl Vire {
     }
 }
 
-/// Convenience trait hook so other localizers can grow scoring later.
-pub trait ScoredLocate {
-    /// Localizes and scores.
-    fn locate_scored(
-        &self,
-        refs: &ReferenceRssiMap,
-        reading: &TrackingReading,
-    ) -> Result<(Estimate, FixQuality), LocalizeError>;
-}
-
-impl ScoredLocate for Vire {
-    fn locate_scored(
-        &self,
-        refs: &ReferenceRssiMap,
-        reading: &TrackingReading,
-    ) -> Result<(Estimate, FixQuality), LocalizeError> {
-        Vire::locate_scored(self, refs, reading)
-    }
-}
-
-/// Helper for tests and telemetry: the distance between two points (a thin
-/// re-export so callers need not import geometry for one call).
-pub fn position_error(estimate: Point2, truth: Point2) -> f64 {
-    estimate.distance(truth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vire_geom::{GridData, RegularGrid};
+    use vire_geom::{GridData, Point2, RegularGrid};
 
     fn readers() -> Vec<Point2> {
         vec![

@@ -152,8 +152,8 @@ pub struct LocationService<L: Localizer> {
     /// Owned prepared state persisted across [`LocationService::drive`]
     /// calls and kept in sync with the source map by dirty-cell patching.
     /// `None` until the first drive, or when the localizer has no
-    /// incremental path (then each drive prepares against the borrowed
-    /// map, as before).
+    /// prepared state (e.g. trilateration; then each drive queries
+    /// through [`Localizer::prepare`]).
     prepared: Option<Box<dyn OwnedPreparedLocalizer>>,
     /// Changed readings drained from the stage but not yet localized
     /// (the calibration map was still incomplete). First-dirtied order;
@@ -381,8 +381,8 @@ impl<L: Localizer> LocationService<L> {
                 }
                 prepared.locate_batch_refs(&readings)
             }
-            // No incremental path for this localizer: prepare against the
-            // borrowed map for this drive only, as before.
+            // No prepared state for this localizer (`prepare_owned` is
+            // `None`): query through `prepare` for this drive only.
             None => self.localizer.prepare(refs).locate_batch_refs(&readings),
         };
         drop(readings);

@@ -4,23 +4,26 @@
 //! (see [`crate::prepared`]):
 //!
 //! 1. *prepare, once per calibration map:* build the virtual reference
-//!    grid (interpolation, §4.2) and flatten its per-reader RSSI planes,
+//!    grid (interpolation, §4.2) and flatten its per-reader RSSI planes
+//!    into a [`PreparedVire`], which can later follow the map through
+//!    [`sync`](crate::OwnedPreparedLocalizer::sync),
 //! 2. *query, per tracking reading:* run proximity-based elimination
 //!    (§4.3) over the cached planes,
 //! 3. weight the surviving virtual tags by `w1·w2`,
 //! 4. estimate `(x, y) = Σ wᵢ (xᵢ, yᵢ)`.
 //!
-//! The one-shot [`Localizer::locate`] API is retained — it prepares,
-//! queries once, and discards — so both paths share one implementation
-//! and produce bit-identical estimates.
+//! The one-shot [`Localizer::locate`] is prepare + locate on that one
+//! type — it prepares, queries once, and discards — so every path shares
+//! one implementation and produces bit-identical estimates.
 //!
 //! When a **fixed** threshold eliminates everything, the configured
 //! fallback applies: error out, or degrade gracefully to LANDMARC on the
 //! real reference tags (the behaviour a deployment would want).
 
 use crate::elimination::EliminationResult;
+use crate::incremental::OwnedPreparedLocalizer;
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
-use crate::prepared::{PreparedLocalizer, PreparedVire, Unprepared};
+use crate::prepared::{PreparedLocalizer, PreparedVire};
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::virtual_grid::InterpolationKernel;
 use crate::weights::{W1Mode, WeightingMode};
@@ -166,29 +169,19 @@ impl Localizer for Vire {
     ) -> Result<Estimate, LocalizeError> {
         check_readers(refs, reading)?;
         let prepared = self.prepare(refs)?;
-        PreparedVire::with_thread_scratch(|scratch| prepared.locate_with_scratch(reading, scratch))
+        prepared.locate(reading)
     }
 
     fn name(&self) -> &'static str {
         "VIRE"
     }
 
-    fn prepare<'a>(&'a self, refs: &'a ReferenceRssiMap) -> Box<dyn PreparedLocalizer + 'a> {
-        // A degenerate configuration (refine = 0) cannot be prepared; the
-        // unprepared adapter surfaces the same per-reading error as the
-        // one-shot path.
-        match Vire::prepare(self, refs) {
-            Ok(prepared) => Box::new(prepared),
-            Err(_) => Box::new(Unprepared::new(self, refs)),
-        }
-    }
-
-    fn prepare_owned(
-        &self,
-        refs: &ReferenceRssiMap,
-    ) -> Option<Box<dyn crate::incremental::OwnedPreparedLocalizer>> {
-        self.prepare_owned_vire(refs)
-            .map(|p| Box::new(p) as Box<dyn crate::incremental::OwnedPreparedLocalizer>)
+    /// A degenerate configuration (`refine == 0`) cannot be prepared:
+    /// `None`, so [`Localizer::prepare`] falls back to the unprepared
+    /// adapter, which surfaces the same per-reading error as the one-shot
+    /// path.
+    fn prepare_owned(&self, refs: &ReferenceRssiMap) -> Option<Box<dyn OwnedPreparedLocalizer>> {
+        Some(Box::new(Vire::prepare(self, refs).ok()?))
     }
 }
 

@@ -267,9 +267,9 @@ pub(crate) fn candidate_weights_into(
 /// Returns `(candidate_indices, weights)`; weights are normalized to sum
 /// to 1. Returns `None` when the mask is empty or the weights degenerate.
 ///
-/// One-shot convenience over the internal `candidate_weights_into`; hot paths go
-/// through [`crate::PreparedVire`], which reuses the buffers across
-/// readings.
+/// One-shot convenience over the internal `candidate_weights_into`; hot
+/// paths go through [`crate::PreparedVire`], whose [`crate::VireScratch`]
+/// reuses the buffers across readings.
 pub fn candidate_weights(
     grid: &VirtualGrid,
     reading: &TrackingReading,

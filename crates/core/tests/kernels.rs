@@ -10,10 +10,11 @@ use vire_core::elimination::{eliminate, ThresholdMode};
 use vire_core::kernels::{edist_sq_into, max_gap_into, select_k_smallest};
 use vire_core::virtual_grid::VirtualGrid;
 use vire_core::{
-    InterpolationKernel, Landmarc, LandmarcConfig, Localizer, PreparedLocalizer, ReferenceRssiMap,
-    TrackingReading, Vire, VireConfig,
+    Estimate, InterpolationKernel, Landmarc, LandmarcConfig, LocalizeError, Localizer,
+    OwnedPreparedLocalizer, PreparedLocalizer, ReferenceRssiMap, SyncOutcome, TrackingReading,
+    Vire, VireConfig,
 };
-use vire_geom::{GridData, Point2, RegularGrid};
+use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
 const READERS: usize = 3;
 const MAX_SIDE: usize = 6;
@@ -258,14 +259,22 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// The three VIRE entry points — one-shot, prepared, owned-prepared —
-    /// must produce identical estimates for every interpolation kernel
-    /// (they share one vectorized core; this pins that the wiring stays
-    /// shared).
+    /// The VIRE entry points — one-shot, trait-level prepared, owned
+    /// prepared, and prepared state patched by `sync` — must produce
+    /// identical estimates for every interpolation kernel (they share one
+    /// vectorized core; this pins that the wiring stays shared). LANDMARC
+    /// through the trait-default `Localizer::prepare` must match its
+    /// one-shot path too.
     #[test]
     fn vire_paths_agree_bitwise((side, noise, thetas) in workload()) {
         let map = map_with(side, &noise);
         let reading = TrackingReading::new(thetas);
+        // A map two cells away from `map`, so syncing from it to `map`
+        // takes the patch path.
+        let mut perturbed = map.clone();
+        let (a, b) = (GridIndex::new(1, 1), GridIndex::new(side - 1, 0));
+        perturbed.set_rssi(0, a, map.rssi(0, a) + 2.0);
+        perturbed.set_rssi(2, b, map.rssi(2, b) - 1.25);
         for kernel in all_kernels() {
             let config = VireConfig { kernel, refine: 3, ..VireConfig::default() };
             let vire = Vire::new(config.clone());
@@ -277,6 +286,35 @@ proptest! {
                 .locate(&reading);
             prop_assert_eq!(&one_shot, &prepared, "prepared diverged, kernel {:?}", kernel);
             prop_assert_eq!(&one_shot, &owned, "owned diverged, kernel {:?}", kernel);
+            let mut synced = vire.prepare(&perturbed).expect("non-degenerate config");
+            prop_assert_eq!(synced.sync(&map, &[]), SyncOutcome::Patched(2));
+            prop_assert_eq!(
+                estimate_bits(&one_shot),
+                estimate_bits(&synced.locate(&reading)),
+                "patched state diverged, kernel {:?}",
+                kernel
+            );
         }
+        let lm = Landmarc::default();
+        prop_assert_eq!(
+            estimate_bits(&Localizer::locate(&lm, &map, &reading)),
+            estimate_bits(&Localizer::prepare(&lm, &map).locate(&reading)),
+            "LANDMARC trait-default prepare diverged"
+        );
     }
+}
+
+/// The `to_bits` image of an estimate (or its error), for exact
+/// comparison.
+fn estimate_bits(
+    result: &Result<Estimate, LocalizeError>,
+) -> Result<(u64, u64, usize, Option<u64>), LocalizeError> {
+    result.clone().map(|e| {
+        (
+            e.position.x.to_bits(),
+            e.position.y.to_bits(),
+            e.contributors,
+            e.threshold.map(f64::to_bits),
+        )
+    })
 }

@@ -248,7 +248,7 @@ impl Testbed {
             testbed.stage.pin_reference(idx, id);
         }
         // Warm the whole reference lattice's link budgets in one batch
-        // (fans across scoped threads when the lattice is large enough).
+        // (fans across the worker pool when the lattice is large enough).
         let ids: Vec<TagId> = testbed.tags.iter().map(|t| t.id).collect();
         testbed.warm_links(&ids);
         testbed

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything CI runs, runnable offline from any directory.
 #
-#   scripts/check.sh          # build + tests + clippy + fmt
+#   scripts/check.sh          # build + tests + benchmark type-check + clippy + fmt
 #
 # Fails fast on the first broken step.
 set -euo pipefail
@@ -71,6 +71,19 @@ cargo test -q -p vire-net --test codec
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
+
+# The benchmark under perfbench/ implements vire-core's localizer traits
+# and is built from this checkout: type-check it against the workspace so
+# a change to that surface fails here rather than in the benchmark run.
+# Cargo may rewrite the benchmark's lock file; put it back either way.
+echo "==> cargo check (benchmark against the workspace)"
+bench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo check --offline --all-targets --manifest-path perfbench/Cargo.toml
+cp "$bench_lock" perfbench/Cargo.lock
+rm -f "$bench_lock"
+trap - EXIT
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
