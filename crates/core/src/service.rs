@@ -83,7 +83,7 @@ pub enum QueryResponse {
 /// Last known state of a retired track, kept so queries about an evicted
 /// or churned-away lifetime can answer `Stale { age }` instead of
 /// pretending the tag never existed. Bounded: one entry per slot, pruned
-/// by the amortized sweep once `retired_horizon` sweeps-worth stale.
+/// by the amortized sweep once `RETIRED_HORIZON` × `stale_after` old.
 #[derive(Debug, Clone, Copy)]
 struct RetiredTrack {
     /// Lifetime the retired state belongs to.
@@ -101,15 +101,16 @@ pub struct ServiceConfig {
     pub process_noise: f64,
     /// Kalman measurement noise.
     pub measurement_noise: f64,
-    /// Tracks with no update for this many seconds are dropped.
+    /// Tracks with no update for this many seconds are dropped; their
+    /// tombstones answer [`QueryResponse::Stale`] until
+    /// four times this old (`RETIRED_HORIZON`).
     pub stale_after: f64,
-    /// Retired-track tombstones outlive live tracks by this factor of
-    /// `stale_after` before the sweep forgets them entirely (a
-    /// [`QueryResponse::Stale`] answer becomes `Unknown` past it). A
-    /// runtime knob so serving benches can sweep the tombstone horizon
-    /// without recompiling; the default pins the historical behavior.
-    pub retired_horizon: f64,
 }
+
+/// Retired-track tombstones outlive live tracks by this factor of
+/// [`ServiceConfig::stale_after`] before the sweep forgets them entirely
+/// (a [`QueryResponse::Stale`] answer becomes `Unknown` past it).
+const RETIRED_HORIZON: f64 = 4.0;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -117,7 +118,6 @@ impl Default for ServiceConfig {
             process_noise: 0.02,
             measurement_noise: 0.09,
             stale_after: 60.0,
-            retired_horizon: 4.0,
         }
     }
 }
@@ -547,9 +547,8 @@ impl<L: Localizer> LocationService<L> {
             keep
         });
         // Tombstones are bounded too: queries about a lifetime retired
-        // more than `retired_horizon` sweeps ago answer `Unknown`.
-        let retired_horizon = self.config.retired_horizon;
-        retired.retain(|_, r| now - r.last_update <= horizon * retired_horizon);
+        // more than `RETIRED_HORIZON` sweeps ago answer `Unknown`.
+        retired.retain(|_, r| now - r.last_update <= horizon * RETIRED_HORIZON);
         self.last_sweep = now;
     }
 }
@@ -984,40 +983,28 @@ mod tests {
     }
 
     #[test]
-    fn retired_horizon_knob_shrinks_tombstone_lifetime() {
-        // Same timeline as `tombstones_age_out_of_the_sweep`, but with
-        // the horizon knob cut below the elapsed age: the tombstone that
-        // the default (4× stale_after) keeps is pruned at 1×.
+    fn tombstones_answer_stale_up_to_the_retired_horizon() {
+        // The tombstone horizon is RETIRED_HORIZON (4) × stale_after: a
+        // sweep at exactly 4 × 10 s keeps the tombstone, the next sweep
+        // past it prunes it.
         let refs = map();
         let cfg = ServiceConfig {
             stale_after: 10.0,
-            retired_horizon: 1.0,
             ..ServiceConfig::default()
         };
         let mut svc = LocationService::new(Vire::default(), cfg);
         svc.observe(0.0, key(1), &refs, &reading_at(Point2::new(1.0, 1.0)))
             .unwrap();
         svc.forget(key(1));
-        // At 20 s the tombstone is 20 s old ≤ 1 × 10 s? No — but the
-        // sweep has not run yet, so the answer is still Stale.
-        assert!(matches!(
-            svc.query(LocationQuery {
-                tag: key(1),
-                at: 20.0
-            }),
-            QueryResponse::Stale { .. }
-        ));
-        // Trigger a sweep at 25 s: age 25 s > 1 × stale_after prunes it,
-        // where the default horizon (40 s) would have kept it.
-        svc.observe(25.0, key(2), &refs, &reading_at(Point2::new(2.0, 2.0)))
+        let at = |t: f64| LocationQuery { tag: key(1), at: t };
+        svc.observe(40.0, key(2), &refs, &reading_at(Point2::new(2.0, 2.0)))
             .unwrap();
-        assert_eq!(
-            svc.query(LocationQuery {
-                tag: key(1),
-                at: 25.0
-            }),
-            QueryResponse::Unknown
-        );
+        assert_eq!(svc.last_sweep, 40.0, "the sweep ran");
+        assert!(matches!(svc.query(at(40.0)), QueryResponse::Stale { .. }));
+        svc.observe(50.0, key(2), &refs, &reading_at(Point2::new(2.0, 2.0)))
+            .unwrap();
+        assert_eq!(svc.last_sweep, 50.0, "the sweep ran");
+        assert_eq!(svc.query(at(50.0)), QueryResponse::Unknown);
     }
 
     #[test]

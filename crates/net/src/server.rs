@@ -50,7 +50,7 @@ use vire_core::{
     ingest::parse_wire_versioned, validate_event, BeaconEvent, IngestFrontEnd, Localizer,
 };
 use vire_sim::trace::TraceError;
-use vire_sim::{IngestServer, ServeConfig, Trace};
+use vire_sim::{IngestServer, ServeConfig, SlotStats, Trace};
 
 /// Serving-fabric configuration.
 #[derive(Debug, Clone)]
@@ -360,14 +360,24 @@ impl<L: Localizer + Send + 'static> NetServer<L> {
         self.shared.stats()
     }
 
+    /// Slot takeovers and readings the zones' smoothing tables rejected,
+    /// by reason, summed over every zone.
+    pub fn slot_stats(&self) -> SlotStats {
+        (0..self.shared.zones.len())
+            .map(|z| self.shared.pipeline_read(z).slot_stats())
+            .fold(SlotStats::default(), |a, b| a + b)
+    }
+
     /// Stops accepting, joins every connection thread (each drains what
     /// it already buffered), drives every zone's staged readings, and
     /// returns the final — exactly balanced — accounting.
     pub fn shutdown(mut self) -> NetStats {
-        self.shutdown_in_place()
+        self.stop()
     }
 
-    fn shutdown_in_place(&mut self) -> NetStats {
+    /// [`NetServer::shutdown`] in place, so the drained server can still
+    /// be inspected ([`NetServer::slot_stats`]). Idempotent.
+    pub fn stop(&mut self) -> NetStats {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -387,7 +397,7 @@ impl<L: Localizer + Send + 'static> NetServer<L> {
 impl<L: Localizer + Send + 'static> Drop for NetServer<L> {
     fn drop(&mut self) {
         if self.acceptor.is_some() {
-            self.shutdown_in_place();
+            self.stop();
         }
     }
 }

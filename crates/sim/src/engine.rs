@@ -215,7 +215,11 @@ impl Testbed {
         let bus = EventBus::with_capacity(config.event_capacity);
         let stage_token = bus.reader();
         let stage = MiddlewareStage::new(
-            Middleware::new(config.smoothing, config.keep_log),
+            Middleware::new(
+                config.smoothing,
+                config.deployment.readers.len(),
+                config.keep_log,
+            ),
             config.deployment.reference_grid,
             config.deployment.readers.clone(),
         );

@@ -52,9 +52,9 @@ pub mod tag;
 pub mod trace;
 
 pub use engine::{Testbed, TestbedConfig};
-pub use middleware::{Middleware, Reading};
+pub use middleware::{Middleware, Reading, Smoothed};
 pub use multizone::MultiZoneTestbed;
-pub use pipeline::{MiddlewareStage, PumpStats};
+pub use pipeline::{MiddlewareStage, PumpStats, SlotStats};
 pub use reader::ReaderId;
 pub use serve::{DriveReport, IngestServer, ServeConfig};
 pub use smoothing::{SmoothingError, SmoothingKind};

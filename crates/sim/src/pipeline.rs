@@ -8,6 +8,11 @@
 //! simulated testbed publishes its readings to a [`vire_bus::EventBus`]
 //! and [`MiddlewareStage::pump`]s them through the same `ingest`.
 //!
+//! The stage enforces slot ownership: the newest generation heard on a
+//! tag slot owns its smoothing streams, a pinned reference slot answers
+//! only to its pinned generation, and everything else is rejected and
+//! counted ([`SlotStats`]) before it can touch a filter.
+//!
 //! * [`MiddlewareStage::reference_map`] refreshes the cached calibration
 //!   map in place, rewriting only the cells whose smoothed value moved,
 //! * [`MiddlewareStage::changed_readings`] drains only the tracking tags
@@ -21,7 +26,7 @@
 //! [`vire_core::LocationService::drive`] can poll it incrementally —
 //! localizing nothing when the deployment is quiet.
 
-use crate::middleware::{Middleware, Reading};
+use crate::middleware::{Middleware, Reading, Smoothed};
 use crate::reader::ReaderId;
 use crate::tag::TagId;
 use std::collections::{HashMap, HashSet};
@@ -41,6 +46,59 @@ pub struct PumpStats {
     pub lagged: u64,
 }
 
+/// Slot-ownership accounting of a [`MiddlewareStage`]: takeovers of a tag
+/// slot by a newer lifetime, and readings rejected before they reached a
+/// filter, by reason. Rejected readings are never stored, never dirty
+/// anything and never advance the clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SlotStats {
+    /// First readings of a newer generation that took a slot over from
+    /// an older lifetime (whose streams were dropped).
+    pub takeovers: u64,
+    /// Rejected: from an older generation than the slot's owner.
+    pub stale_generation: u64,
+    /// Rejected: named a pinned reference slot at a generation other
+    /// than the pinned one.
+    pub reference_generation: u64,
+    /// Rejected: from a reader id outside the deployment's readers.
+    pub unknown_reader: u64,
+}
+
+impl SlotStats {
+    /// Readings rejected for any reason.
+    pub fn rejected(&self) -> u64 {
+        self.stale_generation + self.reference_generation + self.unknown_reader
+    }
+}
+
+impl std::ops::Add for SlotStats {
+    type Output = SlotStats;
+
+    fn add(self, o: SlotStats) -> SlotStats {
+        SlotStats {
+            takeovers: self.takeovers + o.takeovers,
+            stale_generation: self.stale_generation + o.stale_generation,
+            reference_generation: self.reference_generation + o.reference_generation,
+            unknown_reader: self.unknown_reader + o.unknown_reader,
+        }
+    }
+}
+
+impl std::fmt::Display for SlotStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "takeovers {}, rejected {} (stale generation {}, reference generation {}, \
+             unknown reader {})",
+            self.takeovers,
+            self.rejected(),
+            self.stale_generation,
+            self.reference_generation,
+            self.unknown_reader
+        )
+    }
+}
+
 /// A middleware smoothing [`Reading`]s one at a time, with incremental
 /// dirty-cell tracking. See the [module docs](self).
 #[derive(Debug)]
@@ -52,8 +110,8 @@ pub struct MiddlewareStage {
     readers: Vec<Point2>,
     /// Lattice node -> pinned reference tag (for full exports).
     reference_tags: HashMap<GridIndex, TagId>,
-    /// Pinned reference tags with their lattice nodes, sorted by tag:
-    /// classifying a reading is a short binary search, not a hash.
+    /// Pinned reference tags with their lattice nodes, sorted by slot
+    /// index: classifying a reading is a short binary search, not a hash.
     reference_cells: Vec<(TagId, GridIndex)>,
     /// Last exported calibration map, updated in place.
     cached_map: Option<ReferenceRssiMap>,
@@ -66,16 +124,29 @@ pub struct MiddlewareStage {
     /// Tracking tags with changed readings, in first-dirtied order.
     dirty_tracking: Vec<TagId>,
     dirty_tracking_set: HashSet<TagId>,
+    /// Final readings of dirty lifetimes whose slot a newer generation
+    /// took over before the drain: their filters are gone, so the drain
+    /// takes the reading from here, in its first-dirtied place.
+    taken_over: Vec<(TagId, TrackingReading)>,
     /// Tracking tags removed upstream, not yet drained by
     /// [`MiddlewareStage::take_removed_tags`].
     removed: Vec<TagId>,
+    slot_stats: SlotStats,
 }
 
 impl MiddlewareStage {
     /// Wraps `middleware` as a pipeline stage. `grid` and `readers`
     /// describe the deployment; pin reference tags with
     /// [`MiddlewareStage::pin_reference`].
+    ///
+    /// # Panics
+    /// Panics when `middleware` was built for a different reader count.
     pub fn new(middleware: Middleware, grid: RegularGrid, readers: Vec<Point2>) -> Self {
+        assert_eq!(
+            middleware.reader_count(),
+            readers.len(),
+            "the middleware must hold one stream per deployment reader"
+        );
         MiddlewareStage {
             middleware,
             clock: 0.0,
@@ -89,7 +160,9 @@ impl MiddlewareStage {
             service_dirty_set: HashSet::new(),
             dirty_tracking: Vec::new(),
             dirty_tracking_set: HashSet::new(),
+            taken_over: Vec::new(),
             removed: Vec::new(),
+            slot_stats: SlotStats::default(),
         }
     }
 
@@ -101,10 +174,16 @@ impl MiddlewareStage {
     /// stale-track sweep.
     pub fn note_removed(&mut self, id: TagId) {
         self.middleware.forget_tag(id);
+        self.drop_pending(id);
+        self.removed.push(id);
+    }
+
+    /// Discards `id`'s pending dirty entry, if any.
+    fn drop_pending(&mut self, id: TagId) {
         if self.dirty_tracking_set.remove(&id) {
             self.dirty_tracking.retain(|t| *t != id);
+            self.taken_over.retain(|(t, _)| *t != id);
         }
-        self.removed.push(id);
     }
 
     /// Drains the tracking tags removed upstream since the last drain —
@@ -115,11 +194,15 @@ impl MiddlewareStage {
 
     /// Declares `tag` as the reference tag pinned to lattice node `idx`.
     /// Readings from pinned tags feed the calibration map instead of the
-    /// tracking dirty set.
+    /// tracking dirty set; readings naming the pinned slot at any other
+    /// generation are rejected.
     pub fn pin_reference(&mut self, idx: GridIndex, tag: TagId) {
         self.reference_tags.insert(idx, tag);
-        match self.reference_cells.binary_search_by_key(&tag, |&(t, _)| t) {
-            Ok(at) => self.reference_cells[at].1 = idx,
+        match self
+            .reference_cells
+            .binary_search_by_key(&tag.index, |&(t, _)| t.index)
+        {
+            Ok(at) => self.reference_cells[at] = (tag, idx),
             Err(at) => self.reference_cells.insert(at, (tag, idx)),
         }
     }
@@ -127,29 +210,64 @@ impl MiddlewareStage {
     /// Smooths one reading into its `(tag, reader)` filter, advancing the
     /// clock and recording the cell as dirty when its smoothed value
     /// bit-changed. Returns whether it changed.
+    ///
+    /// The newest generation heard on a slot owns it: its first reading
+    /// takes the slot over (see [`Middleware::ingest`]). A dead lifetime
+    /// still pending drains once more, with its final reading, when every
+    /// reader had heard it; one never heard by every reader could never
+    /// complete and is dropped. Readings from an older generation, from a
+    /// pinned reference slot at another generation, or from an unknown
+    /// reader are rejected and counted in [`MiddlewareStage::slot_stats`].
     pub fn ingest(&mut self, reading: Reading) -> bool {
+        let cell = match self
+            .reference_cells
+            .binary_search_by_key(&reading.tag.index, |&(t, _)| t.index)
+        {
+            Ok(at) if self.reference_cells[at].0 != reading.tag => {
+                self.slot_stats.reference_generation += 1;
+                return false;
+            }
+            Ok(at) => Some(self.reference_cells[at].1),
+            Err(_) => None,
+        };
+        let changed = match self.middleware.ingest(reading) {
+            Smoothed::Stale => {
+                self.slot_stats.stale_generation += 1;
+                return false;
+            }
+            Smoothed::UnknownReader => {
+                self.slot_stats.unknown_reader += 1;
+                return false;
+            }
+            Smoothed::TookOver { dead, last } => {
+                self.slot_stats.takeovers += 1;
+                match last {
+                    Some(last) if self.dirty_tracking_set.contains(&dead) => {
+                        self.taken_over.push((dead, last))
+                    }
+                    _ => self.drop_pending(dead),
+                }
+                true
+            }
+            Smoothed::Changed => true,
+            Smoothed::Unchanged => false,
+        };
         if reading.time > self.clock {
             self.clock = reading.time;
         }
-        if !self.middleware.ingest(reading) {
+        if !changed {
             return false;
         }
-        match self
-            .reference_cells
-            .binary_search_by_key(&reading.tag, |&(t, _)| t)
-        {
-            Ok(at) => self
-                .dirty_ref_cells
-                .push((self.reference_cells[at].1, reading.reader)),
+        match cell {
+            Some(cell) => self.dirty_ref_cells.push((cell, reading.reader)),
             // A beacon's readings arrive back to back: the last-entry check
             // spares the set lookup for all but the first of them.
-            Err(_)
-                if self.dirty_tracking.last() != Some(&reading.tag)
-                    && self.dirty_tracking_set.insert(reading.tag) =>
+            None if self.dirty_tracking.last() != Some(&reading.tag)
+                && self.dirty_tracking_set.insert(reading.tag) =>
             {
                 self.dirty_tracking.push(reading.tag)
             }
-            Err(_) => {}
+            None => {}
         }
         true
     }
@@ -177,6 +295,11 @@ impl MiddlewareStage {
     /// Timestamp of the newest ingested reading, seconds.
     pub fn clock(&self) -> f64 {
         self.clock
+    }
+
+    /// Takeovers and rejected readings so far, by reason.
+    pub fn slot_stats(&self) -> SlotStats {
+        self.slot_stats
     }
 
     /// Number of tracking tags currently marked dirty.
@@ -250,7 +373,14 @@ impl MiddlewareStage {
         let mut out = Vec::with_capacity(self.dirty_tracking.len());
         let mut pending = Vec::new();
         for tag in std::mem::take(&mut self.dirty_tracking) {
-            match self.middleware.tracking_reading(tag, reader_count) {
+            let reading = self
+                .middleware
+                .tracking_reading(tag, reader_count)
+                .or_else(|| {
+                    let at = self.taken_over.iter().position(|(t, _)| *t == tag)?;
+                    Some(self.taken_over.swap_remove(at).1)
+                });
+            match reading {
                 Some(reading) => {
                     self.dirty_tracking_set.remove(&tag);
                     out.push((tag, reading));
@@ -305,7 +435,7 @@ mod tests {
         let bus = EventBus::with_capacity(64);
         let token = bus.reader();
         let mut stage = MiddlewareStage::new(
-            Middleware::new(SmoothingKind::Raw, false),
+            Middleware::new(SmoothingKind::Raw, 1, false),
             grid,
             vec![Point2::new(-1.0, -1.0)],
         );
@@ -394,7 +524,7 @@ mod tests {
         let mut bus = EventBus::with_capacity(16);
         let mut token = bus.reader();
         let mut stage = MiddlewareStage::new(
-            Middleware::new(SmoothingKind::Raw, false),
+            Middleware::new(SmoothingKind::Raw, 2, false),
             grid,
             bus_readers,
         );
@@ -451,7 +581,7 @@ mod tests {
         let mut bus = EventBus::with_capacity(2);
         let mut token = bus.reader();
         let mut stage = MiddlewareStage::new(
-            Middleware::new(SmoothingKind::Raw, false),
+            Middleware::new(SmoothingKind::Raw, 1, false),
             grid,
             vec![Point2::new(-1.0, -1.0)],
         );
@@ -466,5 +596,106 @@ mod tests {
             stage.middleware().rssi(TagId::first(10), ReaderId(0)),
             Some(-74.0)
         );
+    }
+
+    fn at(time: f64, tag: TagId, reader: u32, rssi: f64) -> Reading {
+        Reading {
+            tag,
+            ..reading(time, 0, reader, rssi)
+        }
+    }
+
+    #[test]
+    fn a_reference_slot_at_another_generation_is_rejected() {
+        let (mut stage, _, _) = stage_and_bus();
+        for n in 0..4u32 {
+            stage.ingest(reading(0.0, n, 0, -70.0 - n as f64));
+        }
+        let map = stage.reference_map().expect("complete").clone();
+        // Slot 2 is pinned at generation 0; a reading at generation 1 must
+        // neither take the calibration cell over nor become a tracking tag.
+        for generation in [1, 7] {
+            assert!(!stage.ingest(at(5.0, TagId::new(2, generation), 0, -20.0)));
+        }
+        assert_eq!(stage.slot_stats().reference_generation, 2);
+        assert_eq!(stage.slot_stats().rejected(), 2);
+        assert_eq!(stage.pending_tracking(), 0);
+        assert_eq!(stage.clock(), 0.0, "rejected readings do not advance time");
+        assert!(stage.take_dirty_cells().is_empty());
+        let after = stage.reference_map().expect("still complete");
+        for idx in after.grid().indices() {
+            assert_eq!(after.rssi(0, idx).to_bits(), map.rssi(0, idx).to_bits());
+        }
+        // The pinned generation still feeds its cell.
+        assert!(stage.ingest(reading(6.0, 2, 0, -60.0)));
+        let cell = GridIndex::new(0, 1);
+        assert_eq!(
+            stage.reference_map().expect("complete").rssi(0, cell),
+            -60.0
+        );
+    }
+
+    #[test]
+    fn a_takeover_drops_the_dead_lifetimes_pending_entry() {
+        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
+        let readers = vec![Point2::new(-1.0, -1.0), Point2::new(2.0, 2.0)];
+        let mut stage =
+            MiddlewareStage::new(Middleware::new(SmoothingKind::Raw, 2, false), grid, readers);
+        let (old, new) = (TagId::new(9, 0), TagId::new(9, 1));
+        // The old lifetime dies heard by one reader of two: pending.
+        assert!(stage.ingest(at(0.0, old, 0, -70.0)));
+        assert_eq!(stage.pending_tracking(), 1);
+        assert!(stage.ingest(at(1.0, new, 1, -75.0)));
+        assert_eq!(stage.slot_stats().takeovers, 1);
+        assert_eq!(
+            stage.pending_tracking(),
+            1,
+            "only the new lifetime is pending"
+        );
+        // A straggler from the dead lifetime is rejected and re-dirties
+        // nothing.
+        assert!(!stage.ingest(at(2.0, old, 0, -71.0)));
+        assert_eq!(stage.slot_stats().stale_generation, 1);
+        assert!(stage.ingest(at(2.0, new, 0, -72.0)));
+        let changed = stage.changed_readings();
+        assert_eq!(changed.len(), 1);
+        assert_eq!(changed[0].0, new);
+        assert_eq!(changed[0].1.rssi(), &[-72.0, -75.0]);
+        // An unknown reader is rejected too.
+        assert!(!stage.ingest(at(3.0, new, 2, -60.0)));
+        assert_eq!(
+            stage.slot_stats(),
+            SlotStats {
+                takeovers: 1,
+                stale_generation: 1,
+                reference_generation: 0,
+                unknown_reader: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn a_taken_over_lifetimes_final_change_still_drains_in_place() {
+        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
+        let readers = vec![Point2::new(-1.0, -1.0), Point2::new(2.0, 2.0)];
+        let mut stage =
+            MiddlewareStage::new(Middleware::new(SmoothingKind::Raw, 2, false), grid, readers);
+        let (other, old, new) = (TagId::first(4), TagId::new(9, 0), TagId::new(9, 1));
+        stage.ingest(at(0.0, old, 0, -70.0));
+        stage.ingest(at(0.0, old, 1, -71.0));
+        stage.ingest(at(0.5, other, 0, -60.0));
+        stage.ingest(at(0.5, other, 1, -61.0));
+        // The next lifetime is heard by one reader before the drain.
+        assert!(stage.ingest(at(1.0, new, 0, -75.0)));
+        let changed = stage.changed_readings();
+        let tags: Vec<TagId> = changed.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tags, vec![old, other], "first-dirtied order kept");
+        assert_eq!(changed[0].1.rssi(), &[-70.0, -71.0]);
+        assert_eq!(
+            stage.pending_tracking(),
+            1,
+            "the new lifetime awaits reader 1"
+        );
+        assert!(stage.changed_readings().is_empty(), "drained once");
     }
 }

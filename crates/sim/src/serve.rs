@@ -24,9 +24,19 @@
 //! `tests/ingest.rs`). A windowed filter such as the default five-reading
 //! median must see every reading: fed fewer, its window stretches across
 //! batches and the fix lags a moving tag (DESIGN.md §15).
+//!
+//! ## Bounded by the live tags
+//!
+//! The smoothing table is slot-major: the newest generation heard on a
+//! tag slot owns that slot's streams, its first reading resets them in
+//! place, and stragglers from older lifetimes are rejected (as are
+//! readings naming a pinned reference slot at another generation, or an
+//! unknown reader). However long tags churn, the table holds one entry
+//! per slot, never one per lifetime ([`IngestServer::slot_stats`] counts
+//! takeovers and rejects).
 
 use crate::middleware::{Middleware, Reading};
-use crate::pipeline::MiddlewareStage;
+use crate::pipeline::{MiddlewareStage, SlotStats};
 use crate::reader::ReaderId;
 use crate::smoothing::SmoothingKind;
 use crate::tag::TagId;
@@ -81,7 +91,7 @@ impl<L: Localizer> IngestServer<L> {
     ) -> Result<Self, TraceError> {
         let (grid, nodes) = trace.infer_deployment()?;
         let mut stage = MiddlewareStage::new(
-            Middleware::new(config.smoothing, false),
+            Middleware::new(config.smoothing, trace.readers.len(), false),
             grid,
             trace.reader_positions(),
         );
@@ -98,8 +108,10 @@ impl<L: Localizer> IngestServer<L> {
 
     /// Smooths a burst of raw beacon events, in order, into the
     /// per-`(tag, reader)` filters. Returns how many were accepted
-    /// (reference and tracking beacons alike). Events must be finite —
-    /// transports check them with [`vire_core::validate_event`].
+    /// (reference and tracking beacons alike, and readings the smoothing
+    /// table rejects — counted in [`IngestServer::slot_stats`]). Events
+    /// must be finite — transports check them with
+    /// [`vire_core::validate_event`].
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
         let mut n = 0;
         for e in events {
@@ -144,10 +156,17 @@ impl<L: Localizer> IngestServer<L> {
     }
 
     /// Cumulative accounting since construction: every accepted reading
-    /// is delivered to smoothing at once (`accepted == delivered`), and
-    /// `batches` counts drives.
+    /// is delivered to smoothing at once (`accepted == delivered`, a
+    /// reading the smoothing table rejects included), and `batches`
+    /// counts drives.
     pub fn ingest_stats(&self) -> IngestStats {
         self.stats
+    }
+
+    /// Slot takeovers and readings the smoothing table rejected, by
+    /// reason ([`MiddlewareStage::slot_stats`]).
+    pub fn slot_stats(&self) -> SlotStats {
+        self.stage.slot_stats()
     }
 
     /// The location service (for estimate export and tuning inspection).

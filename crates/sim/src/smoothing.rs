@@ -121,7 +121,7 @@ impl SmoothingKind {
 }
 
 /// Filter state for one (tag, reader) stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// See [`SmoothingKind::Raw`].
     Raw {
@@ -211,6 +211,22 @@ impl Filter {
                     None => x,
                     Some(s) => *alpha * x + (1.0 - *alpha) * s,
                 });
+            }
+        }
+    }
+
+    /// Returns the filter to its freshly built state in place, keeping
+    /// its buffers: a tag slot's next lifetime reuses the previous
+    /// lifetime's filters without allocating.
+    pub fn reset(&mut self) {
+        match self {
+            Filter::Raw { last } => *last = None,
+            Filter::MovingAverage { window, .. } => window.clear(),
+            Filter::Ewma { state, .. } => *state = None,
+            Filter::Median { buf, oldest, cap } => {
+                buf.truncate(*cap);
+                buf.fill(0.0);
+                *oldest = 0;
             }
         }
     }
@@ -410,6 +426,30 @@ mod tests {
         f.update(-82.0);
         assert_eq!(f.fill(), 3);
         assert_eq!(f.value(), Some(-78.0));
+    }
+
+    #[test]
+    fn reset_restores_the_freshly_built_filter() {
+        for kind in [
+            SmoothingKind::Raw,
+            SmoothingKind::MovingAverage(3),
+            SmoothingKind::Ewma(0.3),
+            SmoothingKind::Median(3),
+        ] {
+            let mut f = kind.build();
+            for x in [-70.0, -90.5, -61.25, -75.0] {
+                f.update(x);
+            }
+            f.reset();
+            assert_eq!(f, kind.build(), "{kind:?}");
+            // And it smooths a new stream exactly like a fresh filter.
+            let mut fresh = kind.build();
+            for x in [-66.0, -68.5] {
+                f.update(x);
+                fresh.update(x);
+                assert_eq!(f.value().map(f64::to_bits), fresh.value().map(f64::to_bits));
+            }
+        }
     }
 
     #[test]

@@ -264,7 +264,7 @@ impl Trace {
     /// Replays the trace into a fresh middleware with the given smoothing
     /// policy, returning it ready for map/reading export.
     pub fn replay(&self, smoothing: SmoothingKind) -> Middleware {
-        let mut mw = Middleware::new(smoothing, false);
+        let mut mw = Middleware::new(smoothing, self.readers.len(), false);
         for &r in &self.readings {
             mw.ingest(r.into());
         }
@@ -471,7 +471,8 @@ mod tests {
     fn respawned_lifetimes_stay_distinct_through_a_round_trip() {
         // Slot 0 is removed and respawned mid-capture: two lifetimes,
         // generations 0 and 1. The trace must keep them apart so replay
-        // feeds each lifetime its own smoothing streams.
+        // feeds each lifetime its own smoothing streams: the newer one
+        // takes the slot over with fresh filters.
         let readings = vec![
             Reading {
                 time: 1.0,
@@ -490,8 +491,11 @@ mod tests {
         let back = Trace::from_json(&t.to_json()).unwrap();
         assert_eq!(back.readings[0].generation, 0);
         assert_eq!(back.readings[1].generation, 1);
-        let mw = back.replay(SmoothingKind::Raw);
-        assert_eq!(mw.rssi(TagId::first(0), ReaderId(0)), Some(-70.0));
+        // A two-reading mean would read -62.5 had the new lifetime
+        // inherited the old one's stream; the old lifetime's streams went
+        // with the takeover.
+        let mw = back.replay(SmoothingKind::MovingAverage(2));
+        assert_eq!(mw.rssi(TagId::first(0), ReaderId(0)), None);
         assert_eq!(mw.rssi(TagId::new(0, 1), ReaderId(0)), Some(-55.0));
     }
 

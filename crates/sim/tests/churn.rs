@@ -11,16 +11,17 @@
 //! * the link-budget cache answers the same hit/miss sequence,
 //!
 //! while the slab's storage stays at the peak-live high-water mark
-//! instead of growing with total lifetimes.
+//! instead of growing with total lifetimes — in the testbed and in the
+//! served smoothing table alike.
 
 use proptest::prelude::*;
 use vire_core::{
-    LocationService, ReferenceRssiMap, ServiceConfig, SnapshotSource, TagKey, TrackedEstimate,
-    TrackingReading, Vire,
+    BeaconEvent, LocationService, ReferenceRssiMap, ServiceConfig, SnapshotSource, TagKey,
+    TrackedEstimate, TrackingReading, Vire,
 };
 use vire_geom::{GridData, HandleAllocator, Point2, RegularGrid, TagHandle};
 use vire_radio::budget::{LinkBudget, LinkBudgetCache};
-use vire_sim::{Testbed, TestbedConfig};
+use vire_sim::{IngestServer, ServeConfig, Testbed, TestbedConfig};
 
 const ASSETS: usize = 4;
 const READERS: usize = 4;
@@ -347,4 +348,77 @@ fn testbed_storage_pins_at_the_high_water_mark() {
     let newest = *live.back().expect("live roster");
     assert!(tb.is_live(newest));
     assert!(tb.tracking_reading(newest).is_some());
+}
+
+/// The same pin on the served path: a churning testbed's readings,
+/// streamed through an [`IngestServer`] built from its trace, never hold
+/// more smoothing slots than the peak live population, nor more streams
+/// than that many slots' worth of readers, however many lifetimes pass
+/// through — and every live tag is still served.
+#[test]
+fn served_storage_pins_at_the_high_water_mark() {
+    let mut cfg = TestbedConfig::paper(vire_env::presets::env2(), 23);
+    cfg.keep_log = true;
+    let mut tb = Testbed::new(cfg);
+    let mut live: std::collections::VecDeque<_> = (0..4)
+        .map(|i| tb.add_tracking_tag(Point2::new(0.4 + 0.7 * i as f64, 2.5)))
+        .collect();
+    let mut peak = tb.live_tag_count();
+    // 30 rounds of 4 s: each round retires the two oldest tags and
+    // spawns two into the freed slots at bumped generations.
+    for round in 0..30u64 {
+        tb.run_for(4.0);
+        for _ in 0..2 {
+            tb.remove_tracking_tag(live.pop_front().expect("steady roster"));
+        }
+        for j in 0..2 {
+            let x = 0.3 + ((round * 2 + j) % 5) as f64 * 0.6;
+            live.push_back(tb.add_tracking_tag(Point2::new(x, 0.6)));
+        }
+        peak = peak.max(tb.live_tag_count());
+    }
+    tb.run_for(tb.warmup_duration());
+    let trace = tb.export_trace("served churn capture");
+    let lifetimes: std::collections::HashSet<_> = trace
+        .readings
+        .iter()
+        .map(|r| (r.tag, r.generation))
+        .collect();
+    assert!(
+        lifetimes.len() >= peak + 50,
+        "the capture must churn far past the live population ({} lifetimes)",
+        lifetimes.len()
+    );
+
+    let mut server = IngestServer::from_trace(&trace, Vire::default(), ServeConfig::default())
+        .expect("testbed trace infers its own deployment");
+    let readers = trace.readers.len();
+    for chunk in trace.readings.chunks(97) {
+        server.accept(chunk.iter().map(|r| BeaconEvent {
+            time: r.time,
+            tag: TagKey::new(r.tag, r.generation),
+            reader: r.reader,
+            rssi: r.rssi,
+        }));
+        server.drive();
+        let mw = server.stage().middleware();
+        assert!(
+            mw.slot_count() <= peak,
+            "{} smoothing slots held for a peak of {peak} live tags",
+            mw.slot_count()
+        );
+        assert!(mw.stream_count() <= peak * readers);
+    }
+    // Every lifetime after a slot's first took its slot over, and the
+    // live roster is served from fresh streams.
+    let slots: std::collections::HashSet<_> = trace.readings.iter().map(|r| r.tag).collect();
+    assert_eq!(
+        server.slot_stats().takeovers,
+        (lifetimes.len() - slots.len()) as u64
+    );
+    assert_eq!(server.slot_stats().rejected(), 0);
+    for &tag in &live {
+        let reading = server.stage().middleware().tracking_reading(tag, readers);
+        assert!(reading.is_some(), "live tag {tag:?} is not served");
+    }
 }

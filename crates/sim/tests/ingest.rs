@@ -6,12 +6,17 @@
 //! skipped after others — every `(tag, reader)` smoothed value and every
 //! tracking tag's reading vector stays `f64::to_bits`-identical to
 //! feeding each reading one at a time through a plain [`Middleware`].
+//! That holds under tag churn and hostile input too: every live
+//! lifetime's streams are a function of that lifetime's own readings,
+//! and stragglers, reference slots at other generations and unknown
+//! readers are rejected and counted, never stored.
 //!
 //! **Estimates:** with one drive per chunk, the served localization is
 //! bit-identical to a plain bus → stage → service pipeline fed every
 //! reading, across all four interpolation kernels.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 use vire_core::{
     BeaconEvent, InterpolationKernel, LocalizeError, LocationQuery, LocationService, QueryResponse,
@@ -20,8 +25,8 @@ use vire_core::{
 use vire_geom::Point2;
 use vire_sim::trace::TraceReading;
 use vire_sim::{
-    EventBus, IngestServer, Middleware, MiddlewareStage, ReaderId, ServeConfig, SmoothingKind,
-    TagId, Testbed, TestbedConfig, Trace,
+    EventBus, IngestServer, Middleware, MiddlewareStage, ReaderId, Reading, ServeConfig, SlotStats,
+    SmoothingKind, TagId, Testbed, TestbedConfig, Trace,
 };
 
 type DriveResult = Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>;
@@ -84,13 +89,18 @@ fn bits(results: &DriveResult) -> Vec<(TagKey, Result<Vec<u64>, String>)> {
 }
 
 /// Every `(tag, reader)` smoothed value and every tracking tag's reading
-/// vector, as bits — the state a drive reads.
-fn smoothing_bits(mw: &Middleware, trace: &Trace) -> Vec<Option<u64>> {
+/// vector, as bits — the state a drive reads. `tracking` is the lifetime
+/// currently owning the tracking slot.
+fn smoothing_bits(mw: &Middleware, trace: &Trace, tracking: TagId) -> Vec<Option<u64>> {
     let readers = trace.readers.len();
     let references = trace.reference_tags.len() as u32;
     let mut out = Vec::new();
     for slot in 0..=references {
-        let tag = TagId::first(slot);
+        let tag = if slot == references {
+            tracking
+        } else {
+            TagId::first(slot)
+        };
         for k in 0..readers {
             out.push(mw.rssi(tag, ReaderId(k as u32)).map(f64::to_bits));
         }
@@ -104,50 +114,179 @@ fn smoothing_bits(mw: &Middleware, trace: &Trace) -> Vec<Option<u64>> {
     out
 }
 
+/// One reading of the hostile stream, and whether it was injected (the
+/// server must reject it) rather than taken from the capture.
+type Streamed = (TraceReading, bool);
+
+/// The capture with the tracking slot's generation bumped at each of
+/// `bumps` (fractions of the capture) and `hostile` readings injected
+/// before the capture reading at their position: kind 0 a straggler from
+/// an older lifetime of the tracking slot (only once one exists), kind 1
+/// a reference slot at another generation, kind 2 a reader past the
+/// deployment's readers. Returns the stream and the [`SlotStats`] the
+/// server must report after consuming all of it.
+fn hostile_stream(
+    trace: &Trace,
+    bumps: &[f64],
+    hostile: &[(f64, u8, u32, u32)],
+) -> (Vec<Streamed>, SlotStats) {
+    let n = trace.readings.len();
+    let tracking = trace.reference_tags.len() as u32;
+    let readers = trace.readers.len() as u32;
+    let at = |f: f64| ((f * n as f64) as usize).min(n - 1);
+    let mut bump_at: Vec<usize> = bumps.iter().map(|&f| at(f)).collect();
+    bump_at.sort_unstable();
+    let mut inject: Vec<(usize, u8, u32, u32)> = hostile
+        .iter()
+        .map(|&(f, kind, slot, extra)| (at(f), kind, slot, extra))
+        .collect();
+    inject.sort_by_key(|h| h.0);
+
+    let mut expect = SlotStats::default();
+    let (mut generation, mut owner) = (0u32, None::<u32>);
+    let (mut bumps, mut injects) = (bump_at.iter().peekable(), inject.iter().peekable());
+    let mut stream = Vec::with_capacity(n + inject.len());
+    for (i, r) in trace.readings.iter().enumerate() {
+        while bumps.next_if(|&&b| b <= i).is_some() {
+            generation += 1;
+        }
+        while let Some(&(_, kind, slot, extra)) = injects.next_if(|h| h.0 == i) {
+            let injected = match kind {
+                0 => match owner {
+                    Some(o) if o > 0 => {
+                        expect.stale_generation += 1;
+                        TraceReading {
+                            tag: tracking,
+                            generation: extra % o,
+                            rssi: -20.0,
+                            ..*r
+                        }
+                    }
+                    _ => continue,
+                },
+                1 => {
+                    expect.reference_generation += 1;
+                    TraceReading {
+                        tag: slot % tracking,
+                        generation: extra,
+                        rssi: -20.0,
+                        ..*r
+                    }
+                }
+                _ => {
+                    // The tracking slot at its current (possibly not yet
+                    // heard) generation: the reader check comes first, so
+                    // this never takes the slot over.
+                    expect.unknown_reader += 1;
+                    TraceReading {
+                        tag: tracking,
+                        generation,
+                        reader: readers + extra,
+                        rssi: -20.0,
+                        ..*r
+                    }
+                }
+            };
+            stream.push((injected, true));
+        }
+        let mut clean = *r;
+        if clean.tag == tracking {
+            clean.generation = generation;
+            if owner.is_some_and(|o| o != generation) {
+                expect.takeovers += 1;
+            }
+            owner = Some(generation);
+        }
+        stream.push((clean, false));
+    }
+    (stream, expect)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary chunkings, with drives skipped between arbitrary chunks:
-    /// after every chunk the served smoothing state equals a plain
-    /// middleware fed the same prefix one reading at a time.
+    /// Arbitrary chunkings, with drives skipped between arbitrary chunks,
+    /// over a capture whose tracking slot churns through bumped
+    /// generations and into which stragglers, reference slots at other
+    /// generations and unknown readers are injected: after every chunk
+    /// the served smoothing state equals a plain middleware fed the same
+    /// prefix, hostile readings removed, one reading at a time, and each
+    /// live lifetime's streams equal a fresh middleware fed only that
+    /// lifetime's readings. The server counts every injected reading as
+    /// rejected.
     #[test]
     fn served_smoothing_is_invariant_to_batching(
         sizes in prop::collection::vec(1usize..400, 1..24),
         drive_after in prop::collection::vec(any::<bool>(), 1..24),
+        bumps in prop::collection::vec(0.0..1.0f64, 0..4),
+        hostile in prop::collection::vec((0.0..1.0f64, 0u8..3, 0u32..64, 1u32..4), 0..16),
     ) {
         let trace = shared_capture();
+        let readers = trace.readers.len();
+        let tracking_slot = trace.reference_tags.len() as u32;
+        let (stream, expect) = hostile_stream(trace, &bumps, &hostile);
         let mut server = IngestServer::from_trace(
             trace,
             vire(InterpolationKernel::Linear),
             ServeConfig::default(),
         )
         .expect("paper testbed trace infers its own deployment");
-        let mut plain = Middleware::new(SmoothingKind::default(), false);
+        let mut plain = Middleware::new(SmoothingKind::default(), readers, false);
+        // One fresh middleware per lifetime, fed only its own readings.
+        let mut lifetimes: HashMap<TagId, Middleware> = HashMap::new();
+        let mut tracking = TagId::first(tracking_slot);
 
         let mut at = 0;
         let mut schedule = sizes.iter().cycle().zip(drive_after.iter().cycle());
         let mut undriven = 0;
-        while at < trace.readings.len() {
+        while at < stream.len() {
             let (&size, &drive) = schedule.next().expect("cycled");
-            let chunk = &trace.readings[at..(at + size).min(trace.readings.len())];
+            let chunk = &stream[at..(at + size).min(stream.len())];
             at += chunk.len();
-            prop_assert_eq!(server.accept(chunk.iter().map(to_beacon)), chunk.len());
+            prop_assert_eq!(server.accept(chunk.iter().map(|(r, _)| to_beacon(r))), chunk.len());
             undriven += chunk.len();
-            for r in chunk {
-                plain.ingest((*r).into());
+            for &(r, injected) in chunk {
+                if injected {
+                    continue;
+                }
+                let reading: Reading = r.into();
+                plain.ingest(reading);
+                lifetimes
+                    .entry(reading.tag)
+                    .or_insert_with(|| Middleware::new(SmoothingKind::default(), readers, false))
+                    .ingest(reading);
+                if r.tag == tracking_slot {
+                    tracking = reading.tag;
+                }
             }
             if drive {
                 prop_assert_eq!(server.drive().delivered, undriven);
                 undriven = 0;
             }
+            let served = server.stage().middleware();
             prop_assert_eq!(
-                smoothing_bits(server.stage().middleware(), trace),
-                smoothing_bits(&plain, trace)
+                smoothing_bits(served, trace, tracking),
+                smoothing_bits(&plain, trace, tracking)
             );
+            let live = (0..tracking_slot).map(TagId::first).chain([tracking]);
+            for tag in live {
+                let own = lifetimes.get(&tag);
+                for k in (0..readers as u32).map(ReaderId) {
+                    prop_assert_eq!(
+                        served.rssi(tag, k).map(f64::to_bits),
+                        own.and_then(|mw| mw.rssi(tag, k)).map(f64::to_bits),
+                        "{:?}/{:?} is not a function of its own readings", tag, k
+                    );
+                    prop_assert_eq!(served.fill(tag, k), own.map_or(0, |mw| mw.fill(tag, k)));
+                }
+            }
         }
         let stats = server.ingest_stats();
-        prop_assert_eq!(stats.accepted, trace.readings.len() as u64);
+        prop_assert_eq!(stats.accepted, stream.len() as u64);
         prop_assert_eq!(stats.delivered, stats.accepted);
+        prop_assert_eq!(server.slot_stats(), expect);
+        let injected = stream.iter().filter(|(_, injected)| *injected).count();
+        prop_assert_eq!(server.slot_stats().rejected(), injected as u64);
     }
 }
 
@@ -168,7 +307,7 @@ fn one_drive_per_chunk_matches_a_reading_by_reading_pipeline_all_kernels() {
         let mut bus = EventBus::with_capacity(8192);
         let mut token = bus.reader();
         let mut stage = MiddlewareStage::new(
-            Middleware::new(SmoothingKind::default(), false),
+            Middleware::new(SmoothingKind::default(), trace.readers.len(), false),
             grid,
             trace.reader_positions(),
         );

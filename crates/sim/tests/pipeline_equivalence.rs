@@ -32,7 +32,8 @@ proptest! {
         let mut token = tb.subscribe();
 
         let smoothing = TestbedConfig::paper(vire_env::presets::env1(), seed).smoothing;
-        let mut shadow = Middleware::new(smoothing, false);
+        let readers = tb.middleware().reader_count();
+        let mut shadow = Middleware::new(smoothing, readers, false);
         let mut seen: HashSet<(vire_sim::TagId, vire_sim::ReaderId)> = HashSet::new();
 
         for _ in 0..snapshots {

@@ -29,8 +29,10 @@ cargo test -q -p vire-geom handle::
 
 # Churn safety: slab-reused identity must be observationally identical to
 # a never-reused-ids oracle (service estimates, track counts, cache
-# hit/miss sequences), with storage pinned at the high-water mark.
-echo "==> cargo test (churn oracle proptest)"
+# hit/miss sequences), with storage pinned at the high-water mark — in
+# the testbed and in the served smoothing table, which must hold at most
+# one slot per peak-live tag however many lifetimes stream through.
+echo "==> cargo test (churn oracle + testbed/served storage high-water bound)"
 cargo test -q -p vire-sim --test churn
 
 # The link-budget cache must be invisible: cached and uncached testbeds
@@ -75,12 +77,16 @@ cargo bench --workspace --no-run
 # The benchmark under perfbench/ implements vire-core's localizer traits
 # and is built from this checkout: type-check it against the workspace so
 # a change to that surface fails here rather than in the benchmark run.
-# Cargo may rewrite the benchmark's lock file; put it back either way.
+# Its own unit tests (the benchmark's statistics and oracle arithmetic)
+# run against this checkout too. Cargo may rewrite the benchmark's lock
+# file; put it back either way.
 echo "==> cargo check (benchmark against the workspace)"
 bench_lock=$(mktemp)
 cp perfbench/Cargo.lock "$bench_lock"
 trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo check --offline --all-targets --manifest-path perfbench/Cargo.toml
+echo "==> cargo test (benchmark unit tests)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cp "$bench_lock" perfbench/Cargo.lock
 rm -f "$bench_lock"
 trap - EXIT

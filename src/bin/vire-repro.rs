@@ -257,7 +257,7 @@ fn run_listen(seeds: &[u64], trace_path: Option<&str>, addr: &str) -> Result<(),
     use vire::net::{install_sigint, sigint_pending, NetConfig, NetServer};
 
     let trace = load_serve_trace(seeds, trace_path)?;
-    let server = NetServer::from_traces(
+    let mut server = NetServer::from_traces(
         addr,
         std::slice::from_ref(&trace),
         |_| Vire::default(),
@@ -278,8 +278,9 @@ fn run_listen(seeds: &[u64], trace_path: Option<&str>, addr: &str) -> Result<(),
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     println!("\nSIGINT: draining in-flight frames...");
-    let stats = server.shutdown();
+    let stats = server.stop();
     println!("final {stats}");
+    println!("smoothing slots: {}", server.slot_stats());
     if stats.balanced() {
         println!(
             "accounting balanced: accepted {} == delivered {} (every reading smoothed)",
@@ -330,12 +331,14 @@ fn run_serve(seeds: &[u64], trace_path: Option<&str>, json: bool) -> Result<(), 
     }
 
     let stats = server.ingest_stats();
+    let slots = server.slot_stats();
     let now = trace.readings.last().map(|r| r.time).unwrap_or(0.0);
     println!("serve: \"{}\"", trace.description);
     println!(
         "  {} readings in {} bursts -> {} smoothed, {} localizations",
         stats.accepted, drives, stats.delivered, localized,
     );
+    println!("  smoothing slots: {slots}");
     for &tag in &tracking {
         match server.query(LocationQuery { tag, at: now }) {
             QueryResponse::Fresh { position, age, .. } => {
@@ -354,12 +357,17 @@ fn run_serve(seeds: &[u64], trace_path: Option<&str>, json: bool) -> Result<(), 
     if json {
         println!(
             "{{\"accepted\": {}, \"delivered\": {}, \"drives\": {}, \"localized\": {}, \
-             \"tracking_tags\": {}}}",
+             \"tracking_tags\": {}, \"takeovers\": {}, \"rejected_stale_generation\": {}, \
+             \"rejected_reference_generation\": {}, \"rejected_unknown_reader\": {}}}",
             stats.accepted,
             stats.delivered,
             drives,
             localized,
             tracking.len(),
+            slots.takeovers,
+            slots.stale_generation,
+            slots.reference_generation,
+            slots.unknown_reader,
         );
     }
     Ok(())
